@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,15 +97,53 @@ func canonical(t testing.TB, rows []OutcomeRow) []byte {
 	return b
 }
 
-// killAfter aborts every shard request past the first n, simulating a
-// worker process dying mid-sweep (clients see a torn connection).
-func killAfter(n int32) func(http.Handler) http.Handler {
-	var count int32
+// killSwitch models a worker process dying mid-sweep: every shard
+// request past the first n is aborted (clients see a torn connection).
+// aborted counts the aborted requests; dead closes at the first.
+type killSwitch struct {
+	n       int32
+	posts   atomic.Int32
+	aborted atomic.Int32
+	once    sync.Once
+	dead    chan struct{}
+}
+
+func killAfter(n int32) *killSwitch {
+	return &killSwitch{n: n, dead: make(chan struct{})}
+}
+
+func (k *killSwitch) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if isShardPost(r) && k.posts.Add(1) > k.n {
+			k.aborted.Add(1)
+			k.once.Do(func() { close(k.dead) })
+			panic(http.ErrAbortHandler)
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+func isShardPost(r *http.Request) bool {
+	return r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards")
+}
+
+// shardGate holds every shard request until open is closed (or the
+// client gives up). Gating a healthy worker on a dying worker's kill
+// makes the kill certain to fire: while the healthy worker waits it
+// holds at most one shard, so it cannot steal the dying worker's queue
+// empty before the dying worker's next dispatch reaches the kill.
+func shardGate(open <-chan struct{}) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
-				if atomic.AddInt32(&count, 1) > n {
-					panic(http.ErrAbortHandler)
+			if isShardPost(r) {
+				// Drain the body first so a client disconnect cancels
+				// r.Context() (see slowShards).
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				select {
+				case <-open:
+				case <-r.Context().Done():
+					return
 				}
 			}
 			next.ServeHTTP(w, r)
@@ -158,8 +197,11 @@ func TestClusterEquivalence(t *testing.T) {
 			})
 
 			t.Run("worker-killed", func(t *testing.T) {
-				dying, _ := newTestWorker(t, killAfter(1))
-				healthy, _ := newTestWorker(t, nil)
+				// Trace affinity queues every shard on the dying worker,
+				// which completes its first and aborts the rest.
+				kill := killAfter(1)
+				dying, _ := newTestWorker(t, kill.wrap)
+				healthy, _ := newTestWorker(t, shardGate(kill.dead))
 				coord := New(Options{
 					Workers:          []string{dying.URL, healthy.URL},
 					ShardConfigs:     2,
@@ -177,8 +219,12 @@ func TestClusterEquivalence(t *testing.T) {
 				if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, want) {
 					t.Error("sweep with mid-sweep worker death differs from local trace.Sweep")
 				}
-				if res.Metrics.Failures < 1 {
-					t.Errorf("failures = %d, want >= 1 (worker did die, right?)", res.Metrics.Failures)
+				aborted := int64(kill.aborted.Load())
+				if aborted < 1 {
+					t.Errorf("dying worker aborted %d shard requests, want >= 1", aborted)
+				}
+				if res.Metrics.Failures < 1 || res.Metrics.Failures < aborted {
+					t.Errorf("failures = %d, want >= 1 and >= the %d shard requests the dying worker aborted", res.Metrics.Failures, aborted)
 				}
 			})
 		})

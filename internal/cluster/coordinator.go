@@ -677,9 +677,21 @@ func (s *sched) workerLoop(w int) {
 		if t == nil {
 			return
 		}
-		s.metrics.onDispatch(s.workers[w].client.name, stolen)
+		_, wc := s.worker(w)
+		s.metrics.onDispatch(wc.name, stolen)
 		s.attempt(w, t)
 	}
+}
+
+// worker returns worker w and its current client. admit may grow
+// s.workers, or revive a retired slot with a new client while that
+// slot's previous dispatch loop is still finishing an attempt, so both
+// are read under s.mu.
+func (s *sched) worker(w int) (*schedWorker, *workerClient) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw := s.workers[w]
+	return sw, sw.client
 }
 
 // run executes the scheduler until the grid is merged or failed. The
@@ -1163,6 +1175,7 @@ func (s *sched) replicateTick() {
 	type pullJob struct {
 		key     string
 		target  *schedWorker
+		client  *workerClient
 		sources []string
 		relost  bool
 	}
@@ -1203,7 +1216,8 @@ func (s *sched) replicateTick() {
 				continue
 			}
 			e.pending[m.ID] = true
-			jobs = append(jobs, pullJob{key: key, target: s.workers[s.byID[m.ID]], sources: sources, relost: e.lost})
+			target := s.workers[s.byID[m.ID]]
+			jobs = append(jobs, pullJob{key: key, target: target, client: target.client, sources: sources, relost: e.lost})
 			if len(e.holders)+len(e.pending) >= want {
 				break
 			}
@@ -1211,19 +1225,19 @@ func (s *sched) replicateTick() {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		go s.replicateOne(j.key, j.target, j.sources, j.relost)
+		go s.replicateOne(j.key, j.target, j.client, j.sources, j.relost)
 	}
 }
 
-// replicateOne moves one replica worker-to-worker: the target pulls the
-// recording from an existing holder.
-func (s *sched) replicateOne(key string, target *schedWorker, sources []string, relost bool) {
+// replicateOne moves one replica worker-to-worker: the target, reached
+// through wc, pulls the recording from an existing holder.
+func (s *sched) replicateOne(key string, target *schedWorker, wc *workerClient, sources []string, relost bool) {
 	ctx, cancel := context.WithTimeout(s.ctx, s.c.opts.ShardTimeout)
 	defer cancel()
 	ctx, sp := telemetry.StartSpan(ctx, "trace.replicate")
-	sp.SetAttr("worker", target.client.name)
+	sp.SetAttr("worker", wc.name)
 	sp.SetAttr("trace.key", key)
-	err := target.client.pull(ctx, key, sources)
+	err := wc.pull(ctx, key, sources)
 	sp.Fail(err)
 	sp.End()
 
@@ -1233,7 +1247,7 @@ func (s *sched) replicateOne(key string, target *schedWorker, sources []string, 
 	placed := err == nil && !target.retired
 	if placed {
 		if e.holders[target.id] == "" {
-			e.holders[target.id] = target.client.base
+			e.holders[target.id] = wc.base
 			s.store.total++
 			s.metrics.setReplicaGauge(s.store.total)
 		}
@@ -1244,20 +1258,21 @@ func (s *sched) replicateOne(key string, target *schedWorker, sources []string, 
 		s.metrics.onReplicaPull(relost)
 	} else if err != nil {
 		s.c.opts.Logger.DebugCtx(s.ctx, "cluster: replica pull failed",
-			"worker", target.client.name, "trace", key, "err", err)
+			"worker", wc.name, "trace", key, "err", err)
 	}
 }
 
-// addHolder records that worker sw now holds key's recording.
-func (s *sched) addHolder(key string, sw *schedWorker) {
+// addHolder records that worker sw, reached through wc, now holds key's
+// recording.
+func (s *sched) addHolder(key string, sw *schedWorker, wc *workerClient) {
 	s.mu.Lock()
 	if e := s.store.entries[key]; e != nil && e.holders[sw.id] == "" {
-		e.holders[sw.id] = sw.client.base
+		e.holders[sw.id] = wc.base
 		s.store.total++
 		s.metrics.setReplicaGauge(s.store.total)
 	}
 	s.mu.Unlock()
-	sw.client.markResident(key)
+	wc.markResident(key)
 }
 
 // dropHolder forgets a (key, worker) placement after the worker denied
@@ -1315,8 +1330,7 @@ func (s *sched) replicaCounts() map[string]int {
 // worker that evicted the trace between placement and dispatch gets
 // exactly one coordinator re-push as the liveness backstop.
 func (s *sched) execute(ctx context.Context, w int, t *task) (rows []OutcomeRow, err error) {
-	sw := s.workers[w]
-	wc := sw.client
+	sw, wc := s.worker(w)
 	ctx, sp := telemetry.StartSpan(ctx, "shard.dispatch")
 	sp.SetAttr("worker", wc.name)
 	sp.SetInt("shard.trace", int64(t.trace))
@@ -1370,7 +1384,7 @@ func (s *sched) execute(ctx context.Context, w int, t *task) (rows []OutcomeRow,
 		if perr != nil {
 			return nil, perr
 		}
-		s.addHolder(key, sw)
+		s.addHolder(key, sw, wc)
 	}
 	req := s.shardReq(t)
 	req.Sources = sources
@@ -1390,7 +1404,7 @@ func (s *sched) execute(ctx context.Context, w int, t *task) (rows []OutcomeRow,
 		rows, err = wc.runShard(ctx, req)
 	}
 	if err == nil {
-		s.addHolder(key, sw)
+		s.addHolder(key, sw, wc)
 	}
 	return rows, err
 }

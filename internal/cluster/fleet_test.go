@@ -75,9 +75,40 @@ func TestFleetChurnEquivalence(t *testing.T) {
 			want := localRows(t, src, data, cfgs)
 
 			regSrv, _ := newTestRegistry(t, 5*time.Second)
-			srvA, _ := newTestWorker(t, killAfter(1))
-			srvB, _ := newTestWorker(t, slowShards(10*time.Millisecond))
-			srvC, _ := newTestWorker(t, nil) // created idle; joins mid-sweep
+			// The churn: once worker A has completed its first shard, A
+			// dies (deregistered, and killAfter aborts its next shard)
+			// and worker C joins the live fleet. Worker B runs no shard
+			// until C has received one, so the sweep cannot finish
+			// before the coordinator has seen the churn, and B cannot
+			// drain A's work before A's first shard: the membership
+			// snapshot that admits C is taken after A deregistered, so
+			// it retires A too.
+			cJoined := make(chan struct{})
+			var churn, cFirst sync.Once
+			srvC, _ := newTestWorker(t, func(h http.Handler) http.Handler { // created idle; joins mid-sweep
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if isShardPost(r) {
+						cFirst.Do(func() { close(cJoined) })
+					}
+					h.ServeHTTP(w, r)
+				})
+			})
+			srvA, _ := newTestWorker(t, func(h http.Handler) http.Handler {
+				return killAfter(1).wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					h.ServeHTTP(w, r)
+					if isShardPost(r) {
+						churn.Do(func() {
+							go func() {
+								deregisterMember(t, regSrv.URL, "worker-a")
+								registerMember(t, regSrv.URL, "worker-c", srvC.URL)
+							}()
+						})
+					}
+				}))
+			})
+			srvB, _ := newTestWorker(t, func(h http.Handler) http.Handler {
+				return shardGate(cJoined)(slowShards(10 * time.Millisecond)(h))
+			})
 			registerMember(t, regSrv.URL, "worker-a", srvA.URL)
 			registerMember(t, regSrv.URL, "worker-b", srvB.URL)
 
@@ -93,7 +124,6 @@ func TestFleetChurnEquivalence(t *testing.T) {
 			})
 
 			var mu sync.Mutex
-			var churn sync.Once
 			seen := map[[2]int]int{}
 			streamed := map[[2]int]OutcomeRow{}
 			res, err := coord.SweepStream(context.Background(), Grid{
@@ -105,15 +135,6 @@ func TestFleetChurnEquivalence(t *testing.T) {
 				seen[[2]int{ti, ci}]++
 				streamed[[2]int{ti, ci}] = row
 				mu.Unlock()
-				// First completed cell triggers the churn: worker A dies
-				// (deregistered, and killAfter aborts its next shard), worker
-				// C joins the live fleet.
-				churn.Do(func() {
-					go func() {
-						deregisterMember(t, regSrv.URL, "worker-a")
-						registerMember(t, regSrv.URL, "worker-c", srvC.URL)
-					}()
-				})
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -25,6 +25,8 @@
 package core
 
 import (
+	"math"
+
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
 	"jrpm/internal/vmsim"
@@ -119,64 +121,134 @@ type lineEntry struct {
 	valid bool
 }
 
+// wordsPerLine is the number of per-word store timestamps in a line.
+const wordsPerLine = hydra.LineSize / hydra.WordSize
+
 // storeFIFO models the three store buffers that hold heap store
 // timestamps during tracing: a FIFO of cache-line-sized entries holding
 // per-word store timestamps, 192 lines deep (6 kB of write history).
+// The ring keeps the lines in allocation order: a line stored to again
+// keeps its entry, and a new line takes the entry of the oldest once the
+// ring is full. index finds a line's entry, the associative lookup the
+// hardware does with tag comparators.
 type storeFIFO struct {
-	cap     int
-	entries map[uint32]*fifoLine // line number -> entry
-	order   []uint32             // allocation order for eviction
-	head    int
+	ring  []fifoLine
+	next  int // entry the next new line takes
+	index lineIndex
 }
 
 type fifoLine struct {
-	ts    [hydra.LineSize / hydra.WordSize]int64
-	valid [hydra.LineSize / hydra.WordSize]bool
+	line  uint32
+	used  bool
+	ts    [wordsPerLine]int64
+	valid [wordsPerLine]bool
 }
 
 func newStoreFIFO(capLines int) *storeFIFO {
-	return &storeFIFO{cap: capLines, entries: map[uint32]*fifoLine{}}
+	return &storeFIFO{ring: make([]fifoLine, capLines), index: newLineIndex(capLines)}
 }
 
 func (f *storeFIFO) record(addr uint32, ts int64) {
 	line := addr / hydra.LineSize
-	word := (addr % hydra.LineSize) / hydra.WordSize
-	e := f.entries[line]
-	if e == nil {
-		if len(f.entries) >= f.cap {
-			// Evict the oldest still-present line.
-			for {
-				victim := f.order[f.head]
-				f.head++
-				if _, ok := f.entries[victim]; ok {
-					delete(f.entries, victim)
-					break
-				}
-			}
+	slot, ok := f.index.find(line)
+	if !ok {
+		slot = f.next
+		e := &f.ring[slot]
+		if e.used {
+			f.index.remove(e.line)
 		}
-		e = &fifoLine{}
-		f.entries[line] = e
-		f.order = append(f.order, line)
-		if f.head > 4096 && f.head*2 > len(f.order) {
-			f.order = append([]uint32(nil), f.order[f.head:]...)
-			f.head = 0
-		}
+		*e = fifoLine{line: line, used: true}
+		f.index.insert(line, slot)
+		f.next = (f.next + 1) % len(f.ring)
 	}
+	e := &f.ring[slot]
+	word := (addr % hydra.LineSize) / hydra.WordSize
 	e.ts[word] = ts
 	e.valid[word] = true
 }
 
 func (f *storeFIFO) lookup(addr uint32) (int64, bool) {
-	line := addr / hydra.LineSize
-	word := (addr % hydra.LineSize) / hydra.WordSize
-	e := f.entries[line]
-	if e == nil || !e.valid[word] {
+	slot, ok := f.index.find(addr / hydra.LineSize)
+	if !ok {
 		return 0, false
 	}
-	return e.ts[word], true
+	e := &f.ring[slot]
+	word := (addr % hydra.LineSize) / hydra.WordSize
+	return e.ts[word], e.valid[word]
 }
 
+// lineIndex maps the line numbers present in a storeFIFO to their ring
+// entries: an open-addressed table with linear probing, at most half
+// full, with backward-shift deletion so removals leave no tombstones.
+// It allocates only when built.
+type lineIndex struct {
+	cells []indexCell
+	shift uint32 // 32 - log2(len(cells))
+}
+
+type indexCell struct {
+	key  uint32 // line + 1; 0 marks an empty cell
+	slot int32
+}
+
+func newLineIndex(capLines int) lineIndex {
+	n, shift := 2, uint32(31)
+	for n < 2*capLines {
+		n, shift = n<<1, shift-1
+	}
+	return lineIndex{cells: make([]indexCell, n), shift: shift}
+}
+
+// home is the key's preferred cell (Fibonacci hashing).
+func (x *lineIndex) home(key uint32) int { return int((key * 0x9e3779b9) >> x.shift) }
+
+func (x *lineIndex) find(line uint32) (int, bool) {
+	key, mask := line+1, len(x.cells)-1
+	for i := x.home(key); ; i = (i + 1) & mask {
+		switch x.cells[i].key {
+		case key:
+			return int(x.cells[i].slot), true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// insert adds a line known to be absent.
+func (x *lineIndex) insert(line uint32, slot int) {
+	key, mask := line+1, len(x.cells)-1
+	i := x.home(key)
+	for x.cells[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	x.cells[i] = indexCell{key: key, slot: int32(slot)}
+}
+
+// remove deletes a line known to be present, shifting later cells of its
+// probe run back so every remaining key stays reachable from its home.
+func (x *lineIndex) remove(line uint32) {
+	key, mask := line+1, len(x.cells)-1
+	i := x.home(key)
+	for x.cells[i].key != key {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; x.cells[j].key != 0; j = (j + 1) & mask {
+		// Cell j may fill the hole at i unless its home lies cyclically
+		// in (i, j].
+		if h := x.home(x.cells[j].key); (j-h)&mask >= (j-i)&mask {
+			x.cells[i] = x.cells[j]
+			i = j
+		}
+	}
+	x.cells[i] = indexCell{}
+}
+
+// noStore marks a reserved local-variable timestamp entry not yet
+// written in the current loop entry; it is older than any entry start.
+const noStore = math.MinInt64
+
 // bank is one comparator bank (Figure 7) bound to a dynamic loop entry.
+// Banks are reused across loop entries; start resets one.
 type bank struct {
 	loopID    int
 	frame     uint64
@@ -201,17 +273,25 @@ type bank struct {
 	// Per-entry accumulation, folded into the loop table at eloop.
 	acc LoopStats
 
-	// tracked marks the named-local slots this bank's sloop reserved,
-	// and localTS holds the bank's own store timestamps for them: each
-	// sloop reserves its own local-variable timestamp entries (Table 4),
-	// so an inner loop freeing its reservation never disturbs an outer
-	// bank's view of the same variable.
-	tracked map[int]bool
-	localTS map[int]int64
+	// Each sloop reserves its own local-variable timestamp entries
+	// (Table 4), one per slot in the loop's AnnLocals, so an inner loop
+	// freeing its reservation never disturbs an outer bank's view of the
+	// same variable. slotPos maps a frame slot to 1 + its AnnLocals
+	// position (0: not reserved); localTS holds this entry's last store
+	// timestamp per position.
+	slotPos []int32
+	localTS []int64
+}
+
+// start rebinds a reused bank to a new loop entry, clearing every trace
+// of its previous entry but keeping its local timestamp storage.
+func (b *bank) start(loop int, frame uint64, numLocals int) {
+	*b = bank{loopID: loop, frame: frame, numLocals: numLocals, localTS: b.localTS[:0]}
 }
 
 // Tracer is the full TEST hardware model: the comparator bank array plus
-// the repurposed store buffers, driven by the VM event stream.
+// the repurposed store buffers, driven by the VM event stream. Per-loop
+// state is kept in slices indexed by loop id.
 type Tracer struct {
 	cfg  hydra.Config
 	opts Options
@@ -222,12 +302,14 @@ type Tracer struct {
 	stLine []lineEntry
 
 	stack      []*bank
+	spare      []*bank // banks of finished entries, for reuse
 	inUseBanks int
 	localUsed  int
 
-	table    map[int]*LoopStats
-	disabled map[int]bool // thread quota reached
-	freed    map[int]bool // bank released due to persistent overflow
+	stats    []*LoopStats // by loop id; nil until first needed
+	disabled []bool       // by loop id: thread quota reached
+	freed    []bool       // by loop id: bank released due to persistent overflow
+	slotPos  [][]int32    // by loop id: see bank.slotPos; built on first use
 
 	// parentEdges records observed dynamic nesting: child loop -> parent
 	// loop (-1 at top level) -> entry count. The profile analyzer turns
@@ -273,6 +355,7 @@ func (t *Tracer) ConsumeEvents(evs []vmsim.Event) {
 
 // NewTracer builds a tracer for prog with the given machine config.
 func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
+	n := len(prog.Loops)
 	return &Tracer{
 		cfg:         cfg,
 		opts:        opts,
@@ -280,9 +363,10 @@ func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
 		heapTS:      newStoreFIFO(cfg.Tracer.HeapStoreLines),
 		ldLine:      make([]lineEntry, cfg.Tracer.LoadLineTS),
 		stLine:      make([]lineEntry, cfg.Tracer.StoreLineTS),
-		table:       map[int]*LoopStats{},
-		disabled:    map[int]bool{},
-		freed:       map[int]bool{},
+		stats:       make([]*LoopStats, n),
+		disabled:    make([]bool, n),
+		freed:       make([]bool, n),
+		slotPos:     make([][]int32, n),
 		parentEdges: map[int]map[int]int64{},
 	}
 }
@@ -291,19 +375,48 @@ func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
 // child loop id -> parent loop id (-1 for top level) -> entries.
 func (t *Tracer) ParentEdges() map[int]map[int]int64 { return t.parentEdges }
 
-// Results returns the per-loop statistics table collected so far.
-func (t *Tracer) Results() map[int]*LoopStats { return t.table }
+// Results returns the per-loop statistics table collected so far, keyed
+// by loop id. The records are the tracer's own and keep accumulating.
+func (t *Tracer) Results() map[int]*LoopStats {
+	table := map[int]*LoopStats{}
+	for loop, s := range t.stats {
+		if s != nil {
+			table[loop] = s
+		}
+	}
+	return table
+}
 
 func (t *Tracer) loopStats(loop int) *LoopStats {
-	s := t.table[loop]
+	s := t.stats[loop]
 	if s == nil {
 		s = &LoopStats{Loop: loop}
 		if t.opts.Extended {
 			s.PCArcs = map[int]*PCArcStats{}
 		}
-		t.table[loop] = s
+		t.stats[loop] = s
 	}
 	return s
+}
+
+// slotPositions returns the loop's slot -> 1 + AnnLocals position table.
+func (t *Tracer) slotPositions(loop int) []int32 {
+	if pos := t.slotPos[loop]; pos != nil {
+		return pos
+	}
+	ann := t.prog.Loops[loop].AnnLocals
+	size := 0
+	for _, s := range ann {
+		size = max(size, s+1)
+	}
+	pos := make([]int32, size)
+	for i, s := range ann {
+		if pos[s] == 0 {
+			pos[s] = int32(i + 1)
+		}
+	}
+	t.slotPos[loop] = pos
+	return pos
 }
 
 // LoopStart handles an sloop annotation: allocate a comparator bank if the
@@ -321,7 +434,13 @@ func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	}
 	pe[parent]++
 
-	b := &bank{loopID: loop, frame: frame, numLocals: numLocals}
+	var b *bank
+	if n := len(t.spare); n > 0 {
+		b, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else {
+		b = new(bank)
+	}
+	b.start(loop, frame, numLocals)
 	switch {
 	case t.disabled[loop] || t.freed[loop]:
 		// Annotations for this loop are logically nop'd out.
@@ -333,12 +452,9 @@ func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
 		b.allocated = true
 		b.entryStart = now
 		b.tsCur = now
-		b.resetThread()
-		info := &t.prog.Loops[loop]
-		b.tracked = make(map[int]bool, len(info.AnnLocals))
-		b.localTS = make(map[int]int64, len(info.AnnLocals))
-		for _, s := range info.AnnLocals {
-			b.tracked[s] = true
+		b.slotPos = t.slotPositions(loop)
+		for range t.prog.Loops[loop].AnnLocals {
+			b.localTS = append(b.localTS, noStore)
 		}
 		t.inUseBanks++
 		t.localUsed += numLocals
@@ -412,6 +528,7 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 	}
 	b := t.stack[n]
 	t.stack = t.stack[:n]
+	t.spare = append(t.spare, b)
 	if b.loopID != loop {
 		// Mismatched nesting should be impossible with well-formed
 		// annotations; scan down defensively.
@@ -419,6 +536,7 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 			if t.stack[i].loopID == loop {
 				b = t.stack[i]
 				t.stack = append(t.stack[:i], t.stack[i+1:]...)
+				t.spare = append(t.spare, b)
 				break
 			}
 		}
@@ -452,24 +570,29 @@ func (t *Tracer) ReadStats(now int64, loop int) {}
 // the given last-store timestamp against every active bank.
 func (t *Tracer) dependency(now int64, storeTS int64, pc int) {
 	for _, b := range t.stack {
-		if !b.allocated {
-			continue
+		if b.allocated {
+			b.arc(now, storeTS, pc)
 		}
-		if storeTS < b.entryStart || storeTS >= b.tsCur {
-			// Stored before this STL entry, or within the current
-			// thread: not an inter-thread dependency for this loop.
-			continue
-		}
-		bin := BinEarlier
-		if b.threadIdx >= 1 && storeTS >= b.tsPrev {
-			bin = BinPrev
-		}
-		arc := now - storeTS
-		if !b.hasArc[bin] || arc < b.minArc[bin] {
-			b.hasArc[bin] = true
-			b.minArc[bin] = arc
-			b.minArcPC[bin] = pc
-		}
+	}
+}
+
+// arc classifies the dependency arc from a store at storeTS to a load at
+// now for this bank and keeps it if it is the thread's critical arc.
+func (b *bank) arc(now, storeTS int64, pc int) {
+	if storeTS < b.entryStart || storeTS >= b.tsCur {
+		// Stored before this STL entry, or within the current
+		// thread: not an inter-thread dependency for this loop.
+		return
+	}
+	bin := BinEarlier
+	if b.threadIdx >= 1 && storeTS >= b.tsPrev {
+		bin = BinPrev
+	}
+	arc := now - storeTS
+	if !b.hasArc[bin] || arc < b.minArc[bin] {
+		b.hasArc[bin] = true
+		b.minArc[bin] = arc
+		b.minArcPC[bin] = pc
 	}
 }
 
@@ -526,22 +649,8 @@ func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
 // bank consults its own reserved timestamp entry for the variable.
 func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range t.stack {
-		if !b.allocated || b.frame != id.Frame || !b.tracked[id.Slot] {
-			continue
-		}
-		ts, ok := b.localTS[id.Slot]
-		if !ok || ts < b.entryStart || ts >= b.tsCur {
-			continue
-		}
-		bin := BinEarlier
-		if b.threadIdx >= 1 && ts >= b.tsPrev {
-			bin = BinPrev
-		}
-		arc := now - ts
-		if !b.hasArc[bin] || arc < b.minArc[bin] {
-			b.hasArc[bin] = true
-			b.minArc[bin] = arc
-			b.minArcPC[bin] = pc
+		if p := b.reserved(id); p >= 0 {
+			b.arc(now, b.localTS[p], pc)
 		}
 	}
 }
@@ -550,8 +659,17 @@ func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 // the variable records its own store timestamp.
 func (t *Tracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range t.stack {
-		if b.allocated && b.frame == id.Frame && b.tracked[id.Slot] {
-			b.localTS[id.Slot] = now
+		if p := b.reserved(id); p >= 0 {
+			b.localTS[p] = now
 		}
 	}
+}
+
+// reserved returns the bank's local timestamp entry for the variable, or
+// -1 when the bank reserved none for it.
+func (b *bank) reserved(id vmsim.SlotID) int {
+	if !b.allocated || b.frame != id.Frame || uint(id.Slot) >= uint(len(b.slotPos)) {
+		return -1
+	}
+	return int(b.slotPos[id.Slot]) - 1
 }

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"jrpm/internal/vmsim"
 )
 
-// FuzzReader feeds arbitrary bytes through the full decode path. The
-// contract under fuzzing is the reader's safety property: corrupt input
-// must surface as an error (or a clean EOF for a coincidentally valid
-// stream) — never a panic, and never unbounded allocation, which the
-// format's caps and the reader's zero-per-record-allocation design
-// guarantee structurally.
+// FuzzReader feeds arbitrary bytes through the full decode path, once
+// through Reader.Next and once through Reader.Replay into a
+// vmsim.BatchConsumer. The contract under fuzzing is the reader's safety
+// property: corrupt input must surface as an error (or a clean EOF for a
+// coincidentally valid stream) — never a panic, and never unbounded
+// allocation, which the format's caps and the reader's
+// zero-per-record-allocation design guarantee structurally — and both
+// entry points must yield the same events and the same error class.
 func FuzzReader(f *testing.F) {
 	// Seed with a well-formed trace and targeted corruptions of it so the
 	// fuzzer starts inside the interesting part of the input space.
@@ -47,29 +50,90 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
+		byNext, nextErr := decodeByNext(t, data)
+		byReplay, replayErr := decodeByReplay(data)
+		if len(byNext) > len(data) {
+			// Every record consumes at least its kind byte, so a valid
+			// stream can never yield more records than input bytes.
+			t.Fatalf("decoded %d records from %d bytes", len(byNext), len(data))
 		}
-		r.NumLoops = 4
-		n := 0
-		for {
-			_, err := r.Next()
-			if errors.Is(err, io.EOF) {
-				if _, ok := r.Summary(); !ok {
-					t.Fatal("EOF without summary")
-				}
-				return
-			}
-			if err != nil {
-				return
-			}
-			n++
-			if n > len(data) {
-				// Every record consumes at least its kind byte, so a valid
-				// stream can never yield more records than input bytes.
-				t.Fatalf("decoded %d records from %d bytes", n, len(data))
-			}
+		if got, want := errClass(replayErr), errClass(nextErr); got != want {
+			t.Fatalf("Replay error %v (%s), Next error %v (%s)", replayErr, got, nextErr, want)
+		}
+		if !reflect.DeepEqual(byReplay, byNext) {
+			t.Fatalf("Replay delivered %d events, Next returned %d, or they differ", len(byReplay), len(byNext))
 		}
 	})
+}
+
+// decodeByNext decodes data through Reader.Next until EOF or the first
+// error.
+func decodeByNext(t *testing.T, data []byte) ([]Event, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	r.NumLoops = 4
+	var evs []Event
+	for {
+		ev, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			if _, ok := r.Summary(); !ok {
+				t.Fatal("EOF without summary")
+			}
+			return evs, nil
+		}
+		if err != nil {
+			return evs, err
+		}
+		evs = append(evs, ev)
+	}
+}
+
+// decodeByReplay decodes data through Reader.Replay into a
+// vmsim.BatchConsumer.
+func decodeByReplay(data []byte) ([]Event, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	r.NumLoops = 4
+	var b batchLog
+	_, err = r.Replay(&b)
+	return b.events, err
+}
+
+// batchLog collects replayed events through ConsumeEvents; its Listener
+// methods (from eventLog) record too, so a per-event fallback would also
+// show up in the comparison.
+type batchLog struct{ eventLog }
+
+func (b *batchLog) ConsumeEvents(evs []vmsim.Event) {
+	for _, ev := range evs {
+		b.events = append(b.events, Event{
+			Kind: Kind(ev.Kind) + KindHeapLoad, Time: ev.Now, Addr: ev.Addr, PC: int(ev.PC),
+			Frame: ev.Frame, Slot: int(ev.Slot), Loop: int(ev.Loop), NumLocals: int(ev.NumLocals),
+		})
+	}
+}
+
+// errClass names the decode error class of err.
+func errClass(err error) string {
+	for _, c := range []struct {
+		err  error
+		name string
+	}{
+		{ErrCorrupt, "corrupt"},
+		{io.ErrUnexpectedEOF, "truncated"},
+		{ErrBadMagic, "bad magic"},
+		{ErrBadVersion, "bad version"},
+	} {
+		if errors.Is(err, c.err) {
+			return c.name
+		}
+	}
+	if err != nil {
+		return "other"
+	}
+	return "none"
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,230 +20,230 @@ var (
 	ErrHashMismatch = errors.New("trace: program hash mismatch (trace was recorded from a different program)")
 )
 
-// Reader streams events back out of a recorded trace. Decoding is strict:
-// record fields are validated against the format caps (and, when NumLoops
-// is set, against the program's loop table) so a corrupt or adversarial
-// byte stream errors out instead of panicking or allocating unboundedly —
-// the Reader itself performs no per-record allocation at all.
-type Reader struct {
-	br  *bufio.Reader
-	hdr Header
+const (
+	// headerLen is the fixed header size: magic, version, program hash.
+	headerLen = len(Magic) + 1 + 32
+	// maxRecordLen bounds one encoded record: a kind byte plus at most
+	// nine uvarints (the summary trailer's count and counters).
+	maxRecordLen = 1 + 9*binary.MaxVarintLen64
+	// blockSize is how many events one decode step produces. Replay and
+	// every sweep worker decode a block, then hand the same block to each
+	// consumer in turn: large enough that the per-block dispatch and
+	// cancellation check vanish against the work, small enough (160 kB)
+	// that the block stays cache-resident while its consumers run.
+	blockSize = 4096
+)
 
-	// NumLoops, when > 0, bounds loop ids to the replay target's loop
-	// table; out-of-range ids fail decoding instead of indexing panics
-	// inside a listener.
-	NumLoops int
+// parseHeader checks the magic and version at the front of b and returns
+// the header.
+func parseHeader(b []byte) (Header, error) {
+	var hdr Header
+	if len(b) < len(Magic) {
+		return hdr, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(b) != Magic {
+		return hdr, ErrBadMagic
+	}
+	if len(b) < len(Magic)+1 {
+		return hdr, fmt.Errorf("trace: reading version: %w", io.ErrUnexpectedEOF)
+	}
+	if ver := b[len(Magic)]; ver != Version {
+		return hdr, fmt.Errorf("%w: %d (reader supports %d)", ErrBadVersion, ver, Version)
+	}
+	if len(b) < headerLen {
+		return hdr, fmt.Errorf("trace: reading program hash: %w", io.ErrUnexpectedEOF)
+	}
+	hdr.Version = Version
+	copy(hdr.ProgramHash[:], b[len(Magic)+1:headerLen])
+	return hdr, nil
+}
+
+// decoder is the one decoding core behind Reader and Sweep: it turns the
+// record bytes in buf[pos:] into vmsim.Events, carrying the delta state
+// across calls, and checks the trailer once it reaches it.
+type decoder struct {
+	buf []byte
+	pos int
+
+	// maxLoop is the largest loop id accepted.
+	maxLoop uint64
 
 	prevTime  int64
 	prevAddr  uint32
-	prevPC    int
+	prevPC    int32
 	prevFrame uint64
 
 	records uint64
 	sum     Summary
-	done    bool
+	done    bool // the trailer has been decoded and checked
 }
 
-// NewReader parses the header from r.
-func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-	var magic [4]byte
-	if _, err := io.ReadFull(tr.br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", noEOF(err))
+// bindLoops bounds loop ids to a loop table of numLoops entries; 0 leaves
+// only the format cap.
+func (d *decoder) bindLoops(numLoops int) {
+	d.maxLoop = maxLoopID
+	if numLoops > 0 {
+		d.maxLoop = uint64(numLoops) - 1
 	}
-	if magic != Magic {
-		return nil, ErrBadMagic
-	}
-	ver, err := tr.br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", noEOF(err))
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: %d (reader supports %d)", ErrBadVersion, ver, Version)
-	}
-	tr.hdr.Version = ver
-	if _, err := io.ReadFull(tr.br, tr.hdr.ProgramHash[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading program hash: %w", noEOF(err))
-	}
-	return tr, nil
 }
 
-// noEOF turns a bare io.EOF into io.ErrUnexpectedEOF: inside a structure
-// (header or record) a clean EOF still means truncation.
-func noEOF(err error) error {
-	if errors.Is(err, io.EOF) {
+// decode fills evs with the next records and returns how many it filled.
+// It stops early once the trailer is decoded (d.done) and, when more
+// input may still be appended to buf, before any record that might not
+// be wholly buffered yet. On error, evs[:n] hold the records decoded
+// before the bad one.
+func (d *decoder) decode(evs []vmsim.Event, more bool) (int, error) {
+	for n := range evs {
+		if d.done || more && len(d.buf)-d.pos <= maxRecordLen {
+			return n, nil
+		}
+		if d.pos == len(d.buf) {
+			// No trailer: the recording was cut off.
+			return n, io.ErrUnexpectedEOF
+		}
+		kind := Kind(d.buf[d.pos])
+		d.pos++
+		if kind == KindSummary {
+			return n, d.summary()
+		}
+		if err := d.record(kind, &evs[n]); err != nil {
+			return n, err
+		}
+		d.records++
+	}
+	return len(evs), nil
+}
+
+// uvarint decodes the uvarint at b[p:] and returns it with the position
+// after it, or with a negative position (see varintErr) when the varint
+// is cut off or overflows. Most fields of a real trace are deltas that
+// fit one byte; that case inlines.
+func uvarint(b []byte, p int) (uint64, int) {
+	if uint(p) < uint(len(b)) && b[p] < 0x80 {
+		return uint64(b[p]), p + 1
+	}
+	return uvarintLong(b, p)
+}
+
+func uvarintLong(b []byte, p int) (uint64, int) {
+	u, n := binary.Uvarint(b[p:])
+	if n <= 0 {
+		return 0, n - 1
+	}
+	return u, p + n
+}
+
+// varintErr is the error for a negative position from uvarint.
+func varintErr(p int) error {
+	if p == -1 {
 		return io.ErrUnexpectedEOF
 	}
-	return err
+	return fmt.Errorf("%w: varint overflows a 64-bit integer", ErrCorrupt)
 }
 
-// Header returns the parsed trace header.
-func (r *Reader) Header() Header { return r.hdr }
-
-// Summary returns the trailer totals; ok is false until the summary
-// record has been reached (Next returned io.EOF or Replay succeeded).
-func (r *Reader) Summary() (Summary, bool) { return r.sum, r.done }
-
-// uvarint reads one bounded uvarint.
-func (r *Reader) uvarint() (uint64, error) {
-	u, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, noEOF(err)
-		}
-		// binary.ReadUvarint's overflow error is unexported.
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+// record decodes the fields of one event record of the given kind,
+// checking each against its cap as soon as it is read.
+func (d *decoder) record(kind Kind, ev *vmsim.Event) error {
+	b := d.buf
+	dt, p := uvarint(b, d.pos)
+	if p < 0 {
+		return varintErr(p)
 	}
-	return u, nil
-}
+	if dt > maxTime || d.prevTime > maxTime-int64(dt) {
+		return fmt.Errorf("%w: time delta out of range", ErrCorrupt)
+	}
+	d.prevTime += int64(dt)
+	// Record kinds 1-8 are the vmsim event kinds, in the same order.
+	*ev = vmsim.Event{Kind: vmsim.EventKind(kind - KindHeapLoad), Now: d.prevTime}
 
-// svarint reads one zigzag-encoded signed delta.
-func (r *Reader) svarint() (int64, error) {
-	u, err := r.uvarint()
-	return unzigzag(u), err
-}
-
-// Next decodes the next event record. It returns io.EOF after the
-// summary trailer has been consumed (Summary then reports the totals);
-// a stream that ends anywhere else is reported as corrupt or truncated.
-func (r *Reader) Next() (Event, error) {
-	var ev Event
-	if r.done {
-		return ev, io.EOF
-	}
-	kindByte, err := r.br.ReadByte()
-	if err != nil {
-		// No trailer: the recording was cut off.
-		return ev, noEOF(err)
-	}
-	kind := Kind(kindByte)
-	if kind == KindSummary {
-		if err := r.readSummary(); err != nil {
-			return ev, err
-		}
-		return ev, io.EOF
-	}
-
-	dt, err := r.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if dt > maxTime || r.prevTime > maxTime-int64(dt) {
-		return ev, fmt.Errorf("%w: time delta out of range", ErrCorrupt)
-	}
-	r.prevTime += int64(dt)
-	ev.Time = r.prevTime
-	ev.Kind = kind
-
+	var u uint64
 	switch kind {
 	case KindHeapLoad, KindHeapStore:
-		ad, err := r.svarint()
-		if err != nil {
-			return ev, err
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
-		addr := int64(r.prevAddr) + ad
+		addr := int64(d.prevAddr) + unzigzag(u)
 		if addr < 0 || addr > 0xffffffff {
-			return ev, fmt.Errorf("%w: address out of range", ErrCorrupt)
+			return fmt.Errorf("%w: address out of range", ErrCorrupt)
 		}
-		r.prevAddr = uint32(addr)
-		ev.Addr = r.prevAddr
-		if ev.PC, err = r.pc(); err != nil {
-			return ev, err
-		}
+		d.prevAddr = uint32(addr)
+		ev.Addr = d.prevAddr
 	case KindLocalLoad, KindLocalStore:
-		fd, err := r.svarint()
-		if err != nil {
-			return ev, err
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
-		r.prevFrame += uint64(fd)
-		ev.Frame = r.prevFrame
-		slot, err := r.uvarint()
-		if err != nil {
-			return ev, err
+		d.prevFrame += uint64(unzigzag(u))
+		ev.Frame = d.prevFrame
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
-		if slot > maxSlot {
-			return ev, fmt.Errorf("%w: slot out of range", ErrCorrupt)
+		if u > maxSlot {
+			return fmt.Errorf("%w: slot out of range", ErrCorrupt)
 		}
-		ev.Slot = int(slot)
-		if ev.PC, err = r.pc(); err != nil {
-			return ev, err
+		ev.Slot = int32(u)
+	case KindLoopStart, KindLoopIter, KindLoopEnd, KindReadStats:
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
-	case KindLoopStart:
-		if ev.Loop, err = r.loop(); err != nil {
-			return ev, err
+		if u > d.maxLoop {
+			return fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
 		}
-		n, err := r.uvarint()
-		if err != nil {
-			return ev, err
+		ev.Loop = int32(u)
+		if kind != KindLoopStart {
+			break
 		}
-		if n > maxNumLocals {
-			return ev, fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
-		ev.NumLocals = int(n)
-		fd, err := r.svarint()
-		if err != nil {
-			return ev, err
+		if u > maxNumLocals {
+			return fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
 		}
-		r.prevFrame += uint64(fd)
-		ev.Frame = r.prevFrame
-	case KindLoopIter, KindLoopEnd, KindReadStats:
-		if ev.Loop, err = r.loop(); err != nil {
-			return ev, err
+		ev.NumLocals = int32(u)
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
 		}
+		d.prevFrame += uint64(unzigzag(u))
+		ev.Frame = d.prevFrame
 	default:
-		return ev, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kindByte)
+		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, byte(kind))
 	}
-	r.records++
-	return ev, nil
+	if kind <= KindLocalStore {
+		// Heap and local records end with a pc delta.
+		if u, p = uvarint(b, p); p < 0 {
+			return varintErr(p)
+		}
+		pc := int64(d.prevPC) + unzigzag(u)
+		if pc < 0 || pc >= maxPC {
+			return fmt.Errorf("%w: pc out of range", ErrCorrupt)
+		}
+		d.prevPC = int32(pc)
+		ev.PC = d.prevPC
+	}
+	d.pos = p
+	return nil
 }
 
-func (r *Reader) pc() (int, error) {
-	pd, err := r.svarint()
-	if err != nil {
-		return 0, err
-	}
-	pc := int64(r.prevPC) + pd
-	if pc < 0 || pc > maxPC {
-		return 0, fmt.Errorf("%w: pc out of range", ErrCorrupt)
-	}
-	r.prevPC = int(pc)
-	return r.prevPC, nil
-}
-
-func (r *Reader) loop() (int, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	limit := uint64(maxLoopID)
-	if r.NumLoops > 0 {
-		limit = uint64(r.NumLoops) - 1
-	}
-	if u > limit {
-		return 0, fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
-	}
-	return int(u), nil
-}
-
-func (r *Reader) readSummary() error {
+// summary decodes the trailer after its kind byte and checks that it
+// ends the stream.
+func (d *decoder) summary() error {
 	fields := []*int64{
-		&r.sum.CleanCycles, &r.sum.TracedCycles,
-		&r.sum.HeapLoads, &r.sum.HeapStores,
-		&r.sum.LocalAnnots, &r.sum.LoopAnnots,
-		&r.sum.ReadStats, &r.sum.Annotations,
+		&d.sum.CleanCycles, &d.sum.TracedCycles,
+		&d.sum.HeapLoads, &d.sum.HeapStores,
+		&d.sum.LocalAnnots, &d.sum.LoopAnnots,
+		&d.sum.ReadStats, &d.sum.Annotations,
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
+	n, p := uvarint(d.buf, d.pos)
+	if p < 0 {
+		return varintErr(p)
 	}
-	if n != r.records {
-		return fmt.Errorf("%w: trailer records %d, decoded %d", ErrCorrupt, n, r.records)
+	if n != d.records {
+		return fmt.Errorf("%w: trailer records %d, decoded %d", ErrCorrupt, n, d.records)
 	}
-	r.sum.Records = n
+	d.sum.Records = n
 	for _, f := range fields {
-		u, err := r.uvarint()
-		if err != nil {
-			return err
+		var u uint64
+		if u, p = uvarint(d.buf, p); p < 0 {
+			return varintErr(p)
 		}
 		if u > maxTime {
 			return fmt.Errorf("%w: summary counter out of range", ErrCorrupt)
@@ -252,49 +251,158 @@ func (r *Reader) readSummary() error {
 		*f = int64(u)
 	}
 	// Nothing may follow the trailer.
-	if _, err := r.br.ReadByte(); err == nil {
+	if d.pos = p; d.pos != len(d.buf) {
 		return fmt.Errorf("%w: trailing data after summary", ErrCorrupt)
-	} else if !errors.Is(err, io.EOF) {
-		return err
 	}
-	r.done = true
+	d.done = true
 	return nil
 }
 
-// Replay streams every event into the listeners (in order, like the VM
-// would) and returns the trace summary. The listeners see exactly the
-// sequence the recorded run produced.
+// Reader streams events back out of a recorded trace from an io.Reader.
+// It is a thin wrapper over the decoding core that Sweep runs on a
+// recording in memory: it keeps a 64 kB window of the stream, topped up
+// before it runs low, decodes a block of events at a time from it, and
+// hands them out one by one (Next) or a block at a time (Replay).
+// Decoding is strict: record fields are validated against the format
+// caps (and, when NumLoops is set, against the program's loop table) so
+// a corrupt or adversarial byte stream errors out instead of panicking
+// or allocating unboundedly — the Reader performs no per-record
+// allocation at all.
+type Reader struct {
+	src io.Reader
+	eof bool   // src is exhausted: dec.buf holds the rest of the stream
+	win []byte // backing store of dec.buf
+	hdr Header
+	dec decoder
+
+	// NumLoops, when > 0, bounds loop ids to the replay target's loop
+	// table; out-of-range ids fail decoding instead of indexing panics
+	// inside a listener.
+	NumLoops int
+
+	// Decoded events: blk[next:] are not yet handed out, and err is the
+	// decode error that follows them. blk slices store.
+	blk   []vmsim.Event
+	next  int
+	err   error
+	store []vmsim.Event
+}
+
+// NewReader parses the header from r.
+func NewReader(r io.Reader) (*Reader, error) {
+	tr := &Reader{src: r, win: make([]byte, 1<<16)}
+	if err := tr.fill(); err != nil {
+		return nil, fmt.Errorf("trace: reading header: %w", err)
+	}
+	hdr, err := parseHeader(tr.dec.buf)
+	if err != nil {
+		return nil, err
+	}
+	tr.hdr = hdr
+	tr.dec.pos = headerLen
+	return tr, nil
+}
+
+// fill tops the window up until it holds more than one maximal record or
+// the rest of the stream, so the decoder never stops inside a record
+// that is only partly buffered.
+func (r *Reader) fill() error {
+	d := &r.dec
+	if r.eof || len(d.buf)-d.pos > maxRecordLen {
+		return nil
+	}
+	n := copy(r.win, d.buf[d.pos:])
+	m, err := io.ReadAtLeast(r.src, r.win[n:], maxRecordLen+1-n)
+	d.buf, d.pos = r.win[:n+m], 0
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		r.eof = true
+		return nil
+	}
+	return err
+}
+
+// pending returns the decoded events not yet handed out, first decoding
+// the next block, topping the window up as needed, if none are left and
+// the stream goes on.
+func (r *Reader) pending() []vmsim.Event {
+	if r.next < len(r.blk) || r.err != nil || r.dec.done {
+		return r.blk[r.next:]
+	}
+	if r.store == nil {
+		r.store = make([]vmsim.Event, blockSize)
+	}
+	r.dec.bindLoops(r.NumLoops)
+	n := 0
+	for n < len(r.store) && !r.dec.done && r.err == nil {
+		if r.err = r.fill(); r.err == nil {
+			var m int
+			m, r.err = r.dec.decode(r.store[n:], !r.eof)
+			n += m
+		}
+	}
+	r.blk, r.next = r.store[:n], 0
+	return r.blk
+}
+
+// Header returns the parsed trace header.
+func (r *Reader) Header() Header { return r.hdr }
+
+// Summary returns the trailer totals; ok is false until the summary
+// record has been reached (Next returned io.EOF or Replay succeeded).
+func (r *Reader) Summary() (Summary, bool) {
+	return r.dec.sum, r.dec.done && r.next == len(r.blk)
+}
+
+// Next returns the next event record. It returns io.EOF after the
+// summary trailer has been consumed (Summary then reports the totals);
+// a stream that ends anywhere else is reported as corrupt or truncated,
+// after every event before the bad record.
+func (r *Reader) Next() (Event, error) {
+	evs := r.pending()
+	if len(evs) == 0 {
+		if r.err != nil {
+			return Event{}, r.err
+		}
+		return Event{}, io.EOF
+	}
+	r.next++
+	ev := &evs[0]
+	return Event{
+		Kind:      Kind(ev.Kind) + KindHeapLoad,
+		Time:      ev.Now,
+		Addr:      ev.Addr,
+		PC:        int(ev.PC),
+		Frame:     ev.Frame,
+		Slot:      int(ev.Slot),
+		Loop:      int(ev.Loop),
+		NumLocals: int(ev.NumLocals),
+	}, nil
+}
+
+// Replay streams every remaining event into the listeners and returns
+// the trace summary. Each decoded block goes to every listener in turn:
+// in one ConsumeEvents call to a vmsim.BatchConsumer, one vmsim.Deliver
+// per event to any other. Each listener sees exactly the sequence the
+// recorded run produced; on a decode error it has seen every event
+// before the bad record.
 func (r *Reader) Replay(listeners ...vmsim.Listener) (Summary, error) {
 	for {
-		ev, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			if !r.done {
-				return Summary{}, io.ErrUnexpectedEOF
-			}
-			return r.sum, nil
-		}
-		if err != nil {
-			return Summary{}, err
-		}
+		evs := r.pending()
+		r.next = len(r.blk)
 		for _, l := range listeners {
-			switch ev.Kind {
-			case KindHeapLoad:
-				l.HeapLoad(ev.Time, ev.Addr, ev.PC)
-			case KindHeapStore:
-				l.HeapStore(ev.Time, ev.Addr, ev.PC)
-			case KindLocalLoad:
-				l.LocalLoad(ev.Time, vmsim.SlotID{Frame: ev.Frame, Slot: ev.Slot}, ev.PC)
-			case KindLocalStore:
-				l.LocalStore(ev.Time, vmsim.SlotID{Frame: ev.Frame, Slot: ev.Slot}, ev.PC)
-			case KindLoopStart:
-				l.LoopStart(ev.Time, ev.Loop, ev.NumLocals, ev.Frame)
-			case KindLoopIter:
-				l.LoopIter(ev.Time, ev.Loop)
-			case KindLoopEnd:
-				l.LoopEnd(ev.Time, ev.Loop)
-			case KindReadStats:
-				l.ReadStats(ev.Time, ev.Loop)
+			if bc, ok := l.(vmsim.BatchConsumer); ok {
+				bc.ConsumeEvents(evs)
+				continue
 			}
+			for i := range evs {
+				vmsim.Deliver(l, &evs[i])
+			}
+		}
+		if r.err != nil {
+			return Summary{}, r.err
+		}
+		if r.dec.done {
+			return r.dec.sum, nil
 		}
 	}
 }

@@ -156,3 +156,41 @@ func TestSweepCancellation(t *testing.T) {
 		t.Error("pre-canceled context canceled no jobs")
 	}
 }
+
+// TestSweepTruncatedAtEveryOffset cuts a small recording at every byte
+// offset: each cut must fail every job of the sweep with an error, and
+// no job may come back with a partial tracer or analysis.
+func TestSweepTruncatedAtEveryOffset(t *testing.T) {
+	const src = `
+global a: int[];
+func main() {
+	var i: int = 1;
+	while (i < len(a)) {
+		a[i] = a[i] + a[i-1];
+		i = i + 1;
+	}
+}`
+	opts := jrpm.DefaultOptions()
+	c, err := jrpm.Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := jrpm.Input{Ints: map[string][]int64{"a": {3, 1, 4, 1, 5, 9, 2, 6}}}
+	var buf bytes.Buffer
+	if _, err := c.ProfileRecord(context.Background(), in, opts, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	jobs := defaultJobs(3)
+	if o := trace.Sweep(context.Background(), c.Annotated, data, jobs, 2)[0]; o.Err != nil {
+		t.Fatalf("whole recording: %v", o.Err)
+	}
+	for n := 0; n < len(data); n++ {
+		for i, o := range trace.Sweep(context.Background(), c.Annotated, data[:n], jobs, 2) {
+			if o.Err == nil || o.Analysis != nil || o.Tracer != nil {
+				t.Fatalf("cut at %d of %d bytes, config %d: err=%v analysis=%v tracer=%v",
+					n, len(data), i, o.Err, o.Analysis != nil, o.Tracer != nil)
+			}
+		}
+	}
+}

@@ -1,13 +1,10 @@
 package jrpm
 
 import (
-	"bytes"
 	"context"
 	"io"
 
-	"jrpm/internal/core"
 	"jrpm/internal/hydra"
-	"jrpm/internal/profile"
 	"jrpm/internal/trace"
 )
 
@@ -53,13 +50,14 @@ func (c *Compiled) ProfileRecord(ctx context.Context, in Input, opts Options, w 
 }
 
 // ReplayProfile reconstructs a ProfileResult from a recorded trace
-// without executing the VM: the event stream is replayed into a fresh
-// TEST comparator-bank model and the analysis re-run. With the same
-// run-stage options this yields bit-identical loop selections and
-// speedup estimates to the live profile the trace was recorded from;
-// with different options (bank counts, buffer limits, history depths,
-// selection thresholds) it answers "what would TEST have concluded on
-// that machine" from the same single execution.
+// without executing the VM: it is a one-job trace.Sweep, which replays
+// the event stream into a fresh TEST comparator-bank model and re-runs
+// the analysis. With the same run-stage options this yields
+// bit-identical loop selections and speedup estimates to the live
+// profile the trace was recorded from; with different options (bank
+// counts, buffer limits, history depths, selection thresholds) it
+// answers "what would TEST have concluded on that machine" from the same
+// single execution.
 //
 // The trace must have been recorded from c's annotated program; a
 // program-hash mismatch is refused.
@@ -68,31 +66,20 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
 
-	r, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
+	job := trace.SweepJob{Cfg: opts.Cfg, Tracer: opts.Tracer, Select: opts.Select}
+	o := trace.Sweep(context.Background(), c.Annotated, data, []trace.SweepJob{job}, 1)[0]
+	if o.Err != nil {
+		return nil, o.Err
 	}
-	if r.Header().ProgramHash != c.TraceHash() {
-		return nil, trace.ErrHashMismatch
-	}
-	r.NumLoops = len(c.Annotated.Loops)
-
-	tracer := core.NewTracer(c.Annotated, opts.Cfg, opts.Tracer)
-	sum, err := r.Replay(tracer)
-	if err != nil {
-		return nil, err
-	}
-
-	analysis := profile.BuildTree(c.Annotated, tracer, sum.TracedCycles, sum.CleanCycles, opts.Cfg)
-	analysis.Select(opts.Select)
+	sum := o.Summary
 
 	return &ProfileResult{
 		Clean:           c.Clean,
 		Annotated:       c.Annotated,
 		CleanCycles:     sum.CleanCycles,
 		TracedCycles:    sum.TracedCycles,
-		Tracer:          tracer,
-		Analysis:        analysis,
+		Tracer:          o.Tracer,
+		Analysis:        o.Analysis,
 		HeapLoads:       sum.HeapLoads,
 		HeapStores:      sum.HeapStores,
 		LocalAnnots:     sum.LocalAnnots,
@@ -104,10 +91,12 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 }
 
 // SweepTrace analyzes one recorded trace under every configuration
-// concurrently (see trace.Sweep): each worker replays the shared bytes
-// into its own comparator-bank model, so N configurations cost zero
-// additional VM executions. Tracer policies and selection thresholds
-// come from opts; each cfgs entry supplies the machine under analysis.
+// concurrently (see trace.Sweep): each worker decodes the shared bytes
+// once and feeds every block of events to the comparator-bank models of
+// all its configurations in lockstep, so N configurations cost zero
+// additional VM executions and one decode per worker. Tracer policies
+// and selection thresholds come from opts; each cfgs entry supplies the
+// machine under analysis.
 func (c *Compiled) SweepTrace(ctx context.Context, data []byte, cfgs []hydra.Config, opts Options, workers int) []trace.SweepOutcome {
 	opts = Normalize(opts)
 	jobs := make([]trace.SweepJob, len(cfgs))

@@ -8,6 +8,7 @@ package jrpm_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -156,6 +157,67 @@ func TestSweepSingleExecution(t *testing.T) {
 	if !reflect.DeepEqual(def.Analysis.SelectedLoopIDs(), live.Analysis.SelectedLoopIDs()) ||
 		def.Analysis.PredictedCycles != live.Analysis.PredictedCycles {
 		t.Error("default-config sweep outcome differs from direct replay")
+	}
+}
+
+// TestSweepMatchesLive: for every workload, every cell of a Banks x
+// HeapStoreLines grid swept over one recording must equal a live
+// Profile run under that cell's machine — the VM's own event emission
+// is the witness, not the decoder under test — at several sweep worker
+// counts, including one that does not divide the grid.
+func TestSweepMatchesLive(t *testing.T) {
+	var cfgs []hydra.Config
+	for _, banks := range []int{1, 2, 4, 8} {
+		for _, lines := range []int{16, 192} {
+			cfg := hydra.DefaultConfig()
+			cfg.Tracer.Banks = banks
+			cfg.Tracer.HeapStoreLines = lines
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	for _, w := range workloads.All() {
+		w := w
+		t.Run(w.Meta.Name, func(t *testing.T) {
+			t.Parallel()
+			opts := jrpm.DefaultOptions()
+			c, err := jrpm.Compile(w.Source, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := c.ProfileRecord(context.Background(), w.NewInput(equivScale), opts, &buf); err != nil {
+				t.Fatal(err)
+			}
+			live := make([]*jrpm.ProfileResult, len(cfgs))
+			for i, cfg := range cfgs {
+				o := opts
+				o.Cfg = cfg
+				if live[i], err = c.Profile(context.Background(), w.NewInput(equivScale), o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, workers := range []int{1, 3, 8} {
+				for i, out := range c.SweepTrace(context.Background(), buf.Bytes(), cfgs, opts, workers) {
+					cell := fmt.Sprintf("workers=%d banks=%d lines=%d", workers, cfgs[i].Tracer.Banks, cfgs[i].Tracer.HeapStoreLines)
+					if out.Err != nil {
+						t.Fatalf("%s: %v", cell, out.Err)
+					}
+					want := live[i]
+					if !reflect.DeepEqual(out.Tracer.Results(), want.Tracer.Results()) {
+						t.Errorf("%s: tracer table differs from the live run", cell)
+					}
+					if !reflect.DeepEqual(out.Tracer.ParentEdges(), want.Tracer.ParentEdges()) {
+						t.Errorf("%s: loop nesting edges differ from the live run", cell)
+					}
+					if got, want := out.Analysis.SelectedLoopIDs(), want.Analysis.SelectedLoopIDs(); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: selected %v, live %v", cell, got, want)
+					}
+					if got, want := out.Analysis.PredictedCycles, want.Analysis.PredictedCycles; got != want {
+						t.Errorf("%s: predicted cycles %v, live %v", cell, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
