@@ -23,15 +23,17 @@ type SpeculateResult struct {
 }
 
 // Speculate recompiles the loops selected by Profile and executes them
-// speculatively: it replays the program once more to record per-iteration
-// traces of the selected loops, then runs the trace-driven TLS timing
-// simulation of the 4-CPU Hydra.
+// speculatively: it runs the program once more with a streaming TLS
+// recorder attached, which hands each iteration of a selected loop to the
+// trace-driven timing simulation of the 4-CPU Hydra as the iteration
+// closes. No trace is kept: memory is one iteration's accesses plus the
+// simulator's last-writer tables.
 func Speculate(in Input, pr *ProfileResult) (*SpeculateResult, error) {
 	return SpeculateContext(context.Background(), in, pr)
 }
 
 // SpeculateContext is Speculate under a context: canceling ctx interrupts
-// the recording run. Safe for concurrent use across jobs sharing pr's
+// that run. Safe for concurrent use across jobs sharing pr's
 // programs — the recorder, VM and simulation state are all per-call.
 func SpeculateContext(ctx context.Context, in Input, pr *ProfileResult) (*SpeculateResult, error) {
 	return SpeculateLoops(ctx, in, pr, pr.Analysis.SelectedLoopIDs())
@@ -39,7 +41,9 @@ func SpeculateContext(ctx context.Context, in Input, pr *ProfileResult) (*Specul
 
 // SpeculateLoops is SpeculateContext over an explicit decomposition set
 // instead of the Equation 2 selection: the given loops are recompiled and
-// executed speculatively regardless of what the estimator chose. Every
+// executed speculatively regardless of what the estimator chose, through
+// the same single streaming run (results equal tls.Simulate over the
+// entries a tls.NewRecorder would have kept from that run). Every
 // loop must have passed the scalar screen (jit.Build rejects the set
 // otherwise). This is the entry point for adaptive callers — a session
 // that promotes and demotes loops over time owns its own speculative set,
@@ -50,7 +54,7 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 		return nil, err
 	}
 
-	rec := tls.NewRecorder(pr.Annotated, selected)
+	rec := tls.NewStreamRecorder(pr.Annotated, selected, pr.Opts.Cfg)
 	vm, err := newVM(pr.Annotated, in, pr.Opts.Cfg)
 	if err != nil {
 		return nil, err
@@ -60,7 +64,7 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 		return nil, err
 	}
 
-	results := tls.Simulate(rec.Entries, pr.Opts.Cfg)
+	results := rec.Results()
 
 	// Program-level time: the recording run shares the annotated
 	// program's timing, so per-loop sequential times are in traced units;
