@@ -376,7 +376,7 @@ func main() {
 // execution tiers: the reference block-at-a-time oracle (refvm), the
 // pre-decoded fast engine (vmsim), and the fast engine with the
 // closure-threaded native tier installed on every loop. The untraced
-// group runs the clean Huffman workload with no listeners — pure
+// group runs the clean Huffman workload with no consumers — pure
 // dispatch; the traced group runs the annotated program with the full
 // comparator-bank tracer attached, measuring what batched emission and
 // compiled event closures buy when every heap access emits an event; the
@@ -431,7 +431,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 				}
 			}
 			if traced {
-				vm.Listeners = []vmsim.Listener{core.NewTracer(prog, opts.Cfg, core.DefaultOptions())}
+				vm.Consumers = []vmsim.Consumer{core.NewTracer(prog, opts.Cfg, core.DefaultOptions())}
 			}
 			bindAll(vm.BindGlobalInts, ints)
 			if err := vm.Run("main"); err != nil {
@@ -447,7 +447,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 			vm := refvm.New(prog)
 			vm.Out = io.Discard
 			if traced {
-				vm.Listeners = []vmsim.Listener{core.NewTracer(prog, opts.Cfg, core.DefaultOptions())}
+				vm.Consumers = []vmsim.Consumer{core.NewTracer(prog, opts.Cfg, core.DefaultOptions())}
 			}
 			bindAll(vm.BindGlobalInts, ints)
 			if err := vm.Run("main"); err != nil {

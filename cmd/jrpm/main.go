@@ -355,8 +355,8 @@ func traceInfo(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		counts[ev.Kind]++
-		lastTime = ev.Time
+		counts[trace.KindHeapLoad+trace.Kind(ev.Kind)]++
+		lastTime = ev.Now
 	}
 	sum, _ := r.Summary()
 	fmt.Printf("format version:  %d\n", hdr.Version)

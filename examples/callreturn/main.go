@@ -38,7 +38,7 @@ func analyze(label, src string) {
 	}
 	vm := vmsim.New(prog)
 	an := mcr.New(prog)
-	vm.Listeners = append(vm.Listeners, an)
+	vm.Consumers = append(vm.Consumers, an)
 	if err := vm.BindGlobalInts("a", []int64{7, 11, 13, 17, 19, 23, 29, 31}); err != nil {
 		log.Fatal(err)
 	}

@@ -6,13 +6,13 @@ import (
 	"jrpm/internal/vmsim"
 )
 
-// RunListener runs pr's annotated program on in with l attached, the way
-// SpeculateLoops runs its streaming recorder.
-func RunListener(ctx context.Context, in Input, pr *ProfileResult, l vmsim.Listener) error {
+// RunConsumer runs pr's annotated program on in with cons attached, the
+// way SpeculateLoops runs its streaming recorder.
+func RunConsumer(ctx context.Context, in Input, pr *ProfileResult, cons vmsim.Consumer) error {
 	vm, err := newVM(pr.Annotated, in, pr.Opts.Cfg)
 	if err != nil {
 		return err
 	}
-	vm.Listeners = append(vm.Listeners, l)
+	vm.Consumers = append(vm.Consumers, cons)
 	return runVM(ctx, vm)
 }

@@ -122,21 +122,21 @@ func FuzzStoreFIFO(f *testing.F) {
 }
 
 // TestBankReuseResetsLocals: a loop re-entered in the same frame after
-// its LoopEnd runs on a reused bank, which must start with no local
+// its eloop runs on a reused bank, which must start with no local
 // store timestamps from the previous entry.
 func TestBankReuseResetsLocals(t *testing.T) {
 	prog := &tir.Program{Loops: []tir.LoopInfo{{ID: 0, Candidate: true, AnnLocals: []int{2, 5}, NumLocals: 2}}}
 	tr := NewTracer(prog, hydra.DefaultConfig(), Options{})
-	slot := vmsim.SlotID{Frame: 7, Slot: 5}
+	const frame, slot = 7, 5
 
-	tr.LoopStart(0, 0, 2, 7)
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopStart, Now: 0, Loop: 0, NumLocals: 2, Frame: frame}})
 	first := tr.stack[0]
-	tr.LocalStore(10, slot, 1)
-	tr.LoopIter(20, 0)
-	tr.LocalLoad(30, slot, 2) // t-1 arc of 20 cycles
-	tr.LoopEnd(40, 0)
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLocalStore, Now: 10, Frame: frame, Slot: slot, PC: 1}})
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopIter, Now: 20, Loop: 0}})
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLocalLoad, Now: 30, Frame: frame, Slot: slot, PC: 2}}) // t-1 arc of 20 cycles
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopEnd, Now: 40, Loop: 0}})
 
-	tr.LoopStart(50, 0, 2, 7)
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopStart, Now: 50, Loop: 0, NumLocals: 2, Frame: frame}})
 	b := tr.stack[0]
 	if b != first {
 		t.Fatal("re-entry did not reuse the finished entry's bank")
@@ -146,9 +146,9 @@ func TestBankReuseResetsLocals(t *testing.T) {
 			t.Errorf("local timestamp %d = %d after re-entry, want none", p, ts)
 		}
 	}
-	tr.LoopIter(60, 0)
-	tr.LocalLoad(70, slot, 3) // no store in this entry: no arc
-	tr.LoopEnd(80, 0)
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopIter, Now: 60, Loop: 0}})
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLocalLoad, Now: 70, Frame: frame, Slot: slot, PC: 3}}) // no store in this entry: no arc
+	tr.Consume([]vmsim.Event{{Kind: vmsim.EvLoopEnd, Now: 80, Loop: 0}})
 
 	s := tr.Results()[0]
 	if s.Entries != 2 || s.ArcCount[BinPrev] != 1 || s.ArcLenSum[BinPrev] != 20 || s.ArcCount[BinEarlier] != 0 {

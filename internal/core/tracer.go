@@ -317,38 +317,34 @@ type Tracer struct {
 	parentEdges map[int]map[int]int64
 }
 
-// Compile-time check that Tracer is a VM listener.
-var (
-	_ vmsim.Listener      = (*Tracer)(nil)
-	_ vmsim.BatchConsumer = (*Tracer)(nil)
-)
+// Compile-time check that Tracer is a VM event consumer.
+var _ vmsim.Consumer = (*Tracer)(nil)
 
-// ConsumeEvents implements vmsim.BatchConsumer: the fast engine hands the
-// tracer whole event batches — one interface dispatch per batch instead
-// of one per event — and the demultiplexing below resolves to direct
-// method calls on the concrete Tracer. Events arrive in execution order
-// and are processed in order, so the comparator-bank state evolves
-// exactly as it would under per-event delivery.
-func (t *Tracer) ConsumeEvents(evs []vmsim.Event) {
+// Consume implements vmsim.Consumer: the engine hands the tracer whole
+// event batches — one interface dispatch per batch instead of one per
+// event — and the demultiplexing below resolves to direct calls on the
+// concrete Tracer. Events are processed in execution order, so the
+// comparator-bank state evolves exactly as it would one event at a time.
+// Read-statistics events are timing-only (the VM charges the software
+// routine's cycles); statistics are folded at eloop.
+func (t *Tracer) Consume(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case vmsim.EvHeapLoad:
-			t.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+			t.heapLoad(ev.Now, ev.Addr, int(ev.PC))
 		case vmsim.EvHeapStore:
-			t.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+			t.heapStore(ev.Now, ev.Addr)
 		case vmsim.EvLocalLoad:
-			t.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			t.localLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
 		case vmsim.EvLocalStore:
-			t.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			t.localStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)})
 		case vmsim.EvLoopStart:
-			t.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+			t.loopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
 		case vmsim.EvLoopIter:
-			t.LoopIter(ev.Now, int(ev.Loop))
+			t.loopIter(ev.Now, int(ev.Loop))
 		case vmsim.EvLoopEnd:
-			t.LoopEnd(ev.Now, int(ev.Loop))
-		case vmsim.EvReadStats:
-			t.ReadStats(ev.Now, int(ev.Loop))
+			t.loopEnd(ev.Now, int(ev.Loop))
 		}
 	}
 }
@@ -419,10 +415,10 @@ func (t *Tracer) slotPositions(loop int) []int32 {
 	return pos
 }
 
-// LoopStart handles an sloop annotation: allocate a comparator bank if the
+// loopStart handles an sloop annotation: allocate a comparator bank if the
 // runtime policies allow, otherwise push an inactive placeholder so the
 // stack discipline stays aligned with eloop events.
-func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
+func (t *Tracer) loopStart(now int64, loop, numLocals int, frame uint64) {
 	parent := -1
 	if len(t.stack) > 0 {
 		parent = t.stack[len(t.stack)-1].loopID
@@ -505,9 +501,9 @@ func (b *bank) endThread(now int64, t *Tracer) {
 	b.resetThread()
 }
 
-// LoopIter handles an eoi annotation: shift the thread start timestamps of
+// loopIter handles an eoi annotation: shift the thread start timestamps of
 // the matching bank.
-func (t *Tracer) LoopIter(now int64, loop int) {
+func (t *Tracer) loopIter(now int64, loop int) {
 	for i := len(t.stack) - 1; i >= 0; i-- {
 		if t.stack[i].loopID == loop {
 			if t.stack[i].allocated {
@@ -518,10 +514,10 @@ func (t *Tracer) LoopIter(now int64, loop int) {
 	}
 }
 
-// LoopEnd handles an eloop annotation: finish the final thread, fold the
+// loopEnd handles an eloop annotation: finish the final thread, fold the
 // entry's counters into the loop table, free the bank, and apply the
 // runtime policies (overflow release, thread quota).
-func (t *Tracer) LoopEnd(now int64, loop int) {
+func (t *Tracer) loopEnd(now int64, loop int) {
 	n := len(t.stack) - 1
 	if n < 0 {
 		return
@@ -562,10 +558,6 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 	}
 }
 
-// ReadStats is a timing-only event (the VM charges the software routine's
-// cycles); statistics are folded at LoopEnd.
-func (t *Tracer) ReadStats(now int64, loop int) {}
-
 // dependency runs the load dependency analysis (§4.2.1) for one load with
 // the given last-store timestamp against every active bank.
 func (t *Tracer) dependency(now int64, storeTS int64, pc int) {
@@ -596,9 +588,9 @@ func (b *bank) arc(now, storeTS int64, pc int) {
 	}
 }
 
-// HeapLoad implements the automatic tracing of lw instructions: the load
+// heapLoad implements the automatic tracing of lw instructions: the load
 // dependency analysis plus the load-line half of the overflow analysis.
-func (t *Tracer) HeapLoad(now int64, addr uint32, pc int) {
+func (t *Tracer) heapLoad(now int64, addr uint32, pc int) {
 	if ts, ok := t.heapTS.lookup(addr); ok {
 		t.dependency(now, ts, pc)
 	}
@@ -620,10 +612,10 @@ func (t *Tracer) HeapLoad(now int64, addr uint32, pc int) {
 	e.valid, e.tag, e.ts = true, tag, now
 }
 
-// HeapStore implements the automatic tracing of sw instructions: record
+// heapStore implements the automatic tracing of sw instructions: record
 // the store timestamp for later loads plus the store-line half of the
 // overflow analysis.
-func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
+func (t *Tracer) heapStore(now int64, addr uint32) {
 	t.heapTS.record(addr, now)
 	// Overflow analysis, store geometry: index bits 10:5, tag bits 31:11.
 	idx := (addr / hydra.LineSize) % uint32(len(t.stLine))
@@ -643,11 +635,11 @@ func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
 	e.valid, e.tag, e.ts = true, tag, now
 }
 
-// LocalLoad handles an lwl annotation: local variables take part in the
+// localLoad handles an lwl annotation: local variables take part in the
 // dependency analysis (they carry loop-borne scalar dependencies) but not
 // in the overflow analysis (they live in registers, not buffers). Each
 // bank consults its own reserved timestamp entry for the variable.
-func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
+func (t *Tracer) localLoad(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range t.stack {
 		if p := b.reserved(id); p >= 0 {
 			b.arc(now, b.localTS[p], pc)
@@ -655,9 +647,9 @@ func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 	}
 }
 
-// LocalStore handles an swl annotation: every active bank that reserved
+// localStore handles an swl annotation: every active bank that reserved
 // the variable records its own store timestamp.
-func (t *Tracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
+func (t *Tracer) localStore(now int64, id vmsim.SlotID) {
 	for _, b := range t.stack {
 		if p := b.reserved(id); p >= 0 {
 			b.localTS[p] = now

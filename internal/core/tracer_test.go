@@ -33,18 +33,47 @@ func newTracer(p *tir.Program, mut func(*hydra.Config)) *core.Tracer {
 	return core.NewTracer(p, cfg, core.Options{})
 }
 
+// One-event batches for driving a Tracer through Consume.
+func heapLoad(now int64, addr uint32, pc int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: int32(pc)}}
+}
+
+func heapStore(now int64, addr uint32, pc int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: int32(pc)}}
+}
+
+func localLoad(now int64, id vmsim.SlotID, pc int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLocalLoad, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)}}
+}
+
+func localStore(now int64, id vmsim.SlotID, pc int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLocalStore, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)}}
+}
+
+func loopStart(now int64, loop, numLocals int, frame uint64) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(loop), NumLocals: int32(numLocals), Frame: frame}}
+}
+
+func loopIter(now int64, loop int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(loop)}}
+}
+
+func loopEnd(now int64, loop int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(loop)}}
+}
+
 // TestDependencyBins drives the Figure 3 analysis by hand: a store in
 // thread 1 produces a t-1 arc when loaded in thread 2 and a <t-1 arc when
 // loaded again in thread 3.
 func TestDependencyBins(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1)
-	tr.LoopIter(100, 0) // thread 2 starts
-	tr.HeapLoad(150, 0x1000, 2)
-	tr.LoopIter(200, 0) // thread 3 starts
-	tr.HeapLoad(250, 0x1000, 3)
-	tr.LoopEnd(300, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(loopIter(100, 0)) // thread 2 starts
+	tr.Consume(heapLoad(150, 0x1000, 2))
+	tr.Consume(loopIter(200, 0)) // thread 3 starts
+	tr.Consume(heapLoad(250, 0x1000, 3))
+	tr.Consume(loopEnd(300, 0))
 
 	s := tr.Results()[0]
 	if s == nil {
@@ -68,13 +97,13 @@ func TestDependencyBins(t *testing.T) {
 // pair is recorded ("we only record the critical arc").
 func TestCriticalArcIsShortest(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1) // arc length 140 if loaded at 150
-	tr.HeapStore(50, 0x2000, 2) // arc length 110 if loaded at 160
-	tr.LoopIter(100, 0)
-	tr.HeapLoad(150, 0x1000, 3)
-	tr.HeapLoad(160, 0x2000, 4)
-	tr.LoopEnd(200, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1)) // arc length 140 if loaded at 150
+	tr.Consume(heapStore(50, 0x2000, 2)) // arc length 110 if loaded at 160
+	tr.Consume(loopIter(100, 0))
+	tr.Consume(heapLoad(150, 0x1000, 3))
+	tr.Consume(heapLoad(160, 0x2000, 4))
+	tr.Consume(loopEnd(200, 0))
 
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 1 {
@@ -89,11 +118,11 @@ func TestCriticalArcIsShortest(t *testing.T) {
 // inter-thread dependencies.
 func TestPreLoopStoresIgnored(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.HeapStore(5, 0x1000, 1) // before sloop
-	tr.LoopStart(10, 0, 0, 1)
-	tr.LoopIter(50, 0)
-	tr.HeapLoad(60, 0x1000, 2)
-	tr.LoopEnd(100, 0)
+	tr.Consume(heapStore(5, 0x1000, 1)) // before sloop
+	tr.Consume(loopStart(10, 0, 0, 1))
+	tr.Consume(loopIter(50, 0))
+	tr.Consume(heapLoad(60, 0x1000, 2))
+	tr.Consume(loopEnd(100, 0))
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 0 || s.ArcCount[core.BinEarlier] != 0 {
 		t.Fatalf("arcs %v recorded for a pre-loop store", s.ArcCount)
@@ -104,11 +133,11 @@ func TestPreLoopStoresIgnored(t *testing.T) {
 // an arc.
 func TestIntraThreadIgnored(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopIter(10, 0)
-	tr.HeapStore(20, 0x1000, 1)
-	tr.HeapLoad(30, 0x1000, 2)
-	tr.LoopEnd(100, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopIter(10, 0))
+	tr.Consume(heapStore(20, 0x1000, 1))
+	tr.Consume(heapLoad(30, 0x1000, 2))
+	tr.Consume(loopEnd(100, 0))
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 0 {
 		t.Fatalf("intra-thread store/load counted as an arc")
@@ -123,15 +152,15 @@ func TestOverflowAnalysis(t *testing.T) {
 		c.Buffers.LoadLines = 2
 		c.Buffers.StoreLines = 1
 	})
-	tr.LoopStart(0, 0, 0, 1)
+	tr.Consume(loopStart(0, 0, 0, 1))
 	// Thread 1: three distinct load lines -> exceeds the 2-line limit.
-	tr.HeapLoad(10, 0x1000, 1)
-	tr.HeapLoad(20, 0x2000, 2)
-	tr.HeapLoad(30, 0x3000, 3)
-	tr.LoopIter(50, 0)
+	tr.Consume(heapLoad(10, 0x1000, 1))
+	tr.Consume(heapLoad(20, 0x2000, 2))
+	tr.Consume(heapLoad(30, 0x3000, 3))
+	tr.Consume(loopIter(50, 0))
 	// Thread 2: stays within limits.
-	tr.HeapLoad(60, 0x1000, 4)
-	tr.LoopEnd(100, 0)
+	tr.Consume(heapLoad(60, 0x1000, 4))
+	tr.Consume(loopEnd(100, 0))
 
 	s := tr.Results()[0]
 	if s.Overflows != 1 {
@@ -151,11 +180,11 @@ func TestOverflowStoreLimit(t *testing.T) {
 	tr := newTracer(makeProg(1), func(c *hydra.Config) {
 		c.Buffers.StoreLines = 2
 	})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1)
-	tr.HeapStore(20, 0x1020, 2) // adjacent line, distinct table index
-	tr.HeapStore(30, 0x1004, 3) // same line as 0x1000: not a new line
-	tr.LoopEnd(50, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(heapStore(20, 0x1020, 2)) // adjacent line, distinct table index
+	tr.Consume(heapStore(30, 0x1004, 3)) // same line as 0x1000: not a new line
+	tr.Consume(loopEnd(50, 0))
 	if s := tr.Results()[0]; s.Overflows != 0 || s.MaxStLines != 2 {
 		t.Fatalf("overflows=%d maxStLines=%d, want 0/2", s.Overflows, s.MaxStLines)
 	}
@@ -163,11 +192,11 @@ func TestOverflowStoreLimit(t *testing.T) {
 	tr2 := newTracer(makeProg(1), func(c *hydra.Config) {
 		c.Buffers.StoreLines = 2
 	})
-	tr2.LoopStart(0, 0, 0, 1)
-	tr2.HeapStore(10, 0x1000, 1)
-	tr2.HeapStore(20, 0x1020, 2)
-	tr2.HeapStore(30, 0x1040, 3)
-	tr2.LoopEnd(50, 0)
+	tr2.Consume(loopStart(0, 0, 0, 1))
+	tr2.Consume(heapStore(10, 0x1000, 1))
+	tr2.Consume(heapStore(20, 0x1020, 2))
+	tr2.Consume(heapStore(30, 0x1040, 3))
+	tr2.Consume(loopEnd(50, 0))
 	if s := tr2.Results()[0]; s.Overflows != 1 {
 		t.Fatalf("overflows=%d, want 1", s.Overflows)
 	}
@@ -181,11 +210,11 @@ func TestDirectMappedAliasing(t *testing.T) {
 	tr := newTracer(makeProg(1), func(c *hydra.Config) {
 		c.Buffers.StoreLines = 2
 	})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1)
-	tr.HeapStore(20, 0x2000, 2) // evicts 0x1000's table entry
-	tr.HeapStore(30, 0x1004, 3) // same real line as 0x1000, but recounted
-	tr.LoopEnd(50, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(heapStore(20, 0x2000, 2)) // evicts 0x1000's table entry
+	tr.Consume(heapStore(30, 0x1004, 3)) // same real line as 0x1000, but recounted
+	tr.Consume(loopEnd(50, 0))
 	if s := tr.Results()[0]; s.MaxStLines != 3 || s.Overflows != 1 {
 		t.Fatalf("maxStLines=%d overflows=%d, want 3/1 (aliasing error)", s.MaxStLines, s.Overflows)
 	}
@@ -198,14 +227,14 @@ func TestStoreFIFOEviction(t *testing.T) {
 	tr := newTracer(makeProg(1), func(c *hydra.Config) {
 		c.Tracer.HeapStoreLines = 2
 	})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1)
-	tr.HeapStore(20, 0x2000, 2)
-	tr.HeapStore(30, 0x3000, 3) // evicts 0x1000's line
-	tr.LoopIter(50, 0)
-	tr.HeapLoad(60, 0x1000, 4) // timestamp gone: no arc
-	tr.HeapLoad(70, 0x3000, 5) // still present: arc
-	tr.LoopEnd(100, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(heapStore(20, 0x2000, 2))
+	tr.Consume(heapStore(30, 0x3000, 3)) // evicts 0x1000's line
+	tr.Consume(loopIter(50, 0))
+	tr.Consume(heapLoad(60, 0x1000, 4)) // timestamp gone: no arc
+	tr.Consume(heapLoad(70, 0x3000, 5)) // still present: arc
+	tr.Consume(loopEnd(100, 0))
 
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 1 || s.ArcLenSum[core.BinPrev] != 40 {
@@ -220,15 +249,15 @@ func TestBankExhaustion(t *testing.T) {
 	tr := newTracer(makeProg(3), func(c *hydra.Config) {
 		c.Tracer.Banks = 2
 	})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopStart(10, 1, 0, 1)
-	tr.LoopStart(20, 2, 0, 1) // no bank left
-	tr.HeapStore(25, 0x1000, 1)
-	tr.LoopIter(30, 2)
-	tr.HeapLoad(35, 0x1000, 2)
-	tr.LoopEnd(40, 2)
-	tr.LoopEnd(50, 1)
-	tr.LoopEnd(60, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopStart(10, 1, 0, 1))
+	tr.Consume(loopStart(20, 2, 0, 1)) // no bank left
+	tr.Consume(heapStore(25, 0x1000, 1))
+	tr.Consume(loopIter(30, 2))
+	tr.Consume(heapLoad(35, 0x1000, 2))
+	tr.Consume(loopEnd(40, 2))
+	tr.Consume(loopEnd(50, 1))
+	tr.Consume(loopEnd(60, 0))
 
 	if s := tr.Results()[2]; s == nil || s.SkippedEntries != 1 || s.Threads != 0 {
 		t.Fatalf("loop 2 should be skipped once and untraced, got %+v", s)
@@ -250,10 +279,10 @@ func TestLocalTimestampCapacity(t *testing.T) {
 	tr := newTracer(makeProg(2, []int{0, 1, 2}, []int{0, 1}), func(c *hydra.Config) {
 		c.Tracer.LocalSlots = 4
 	})
-	tr.LoopStart(0, 0, 3, 1)  // reserves 3 of 4
-	tr.LoopStart(10, 1, 2, 1) // needs 2, only 1 left -> skipped
-	tr.LoopEnd(20, 1)
-	tr.LoopEnd(30, 0)
+	tr.Consume(loopStart(0, 0, 3, 1))  // reserves 3 of 4
+	tr.Consume(loopStart(10, 1, 2, 1)) // needs 2, only 1 left -> skipped
+	tr.Consume(loopEnd(20, 1))
+	tr.Consume(loopEnd(30, 0))
 	if s := tr.Results()[1]; s == nil || s.SkippedEntries != 1 {
 		t.Fatalf("inner loop should be skipped for lack of local timestamps, got %+v", s)
 	}
@@ -263,13 +292,13 @@ func TestLocalTimestampCapacity(t *testing.T) {
 // analysis, scoped to the reserving bank's frame and slots.
 func TestLocalDependencyAnalysis(t *testing.T) {
 	tr := newTracer(makeProg(1, []int{7}), nil)
-	tr.LoopStart(0, 0, 1, 42)
-	tr.LocalStore(10, vmsim.SlotID{Frame: 42, Slot: 7}, 1)
-	tr.LoopIter(100, 0)
-	tr.LocalLoad(130, vmsim.SlotID{Frame: 42, Slot: 7}, 2) // arc, len 120
-	tr.LocalLoad(140, vmsim.SlotID{Frame: 99, Slot: 7}, 3) // wrong frame
-	tr.LocalLoad(150, vmsim.SlotID{Frame: 42, Slot: 3}, 4) // untracked slot
-	tr.LoopEnd(200, 0)
+	tr.Consume(loopStart(0, 0, 1, 42))
+	tr.Consume(localStore(10, vmsim.SlotID{Frame: 42, Slot: 7}, 1))
+	tr.Consume(loopIter(100, 0))
+	tr.Consume(localLoad(130, vmsim.SlotID{Frame: 42, Slot: 7}, 2)) // arc, len 120
+	tr.Consume(localLoad(140, vmsim.SlotID{Frame: 99, Slot: 7}, 3)) // wrong frame
+	tr.Consume(localLoad(150, vmsim.SlotID{Frame: 42, Slot: 3}, 4)) // untracked slot
+	tr.Consume(loopEnd(200, 0))
 
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 1 || s.ArcLenSum[core.BinPrev] != 120 {
@@ -282,13 +311,13 @@ func TestLocalDependencyAnalysis(t *testing.T) {
 // must not erase the outer bank's view of a shared variable.
 func TestInnerLoopReservationDoesNotClobberOuter(t *testing.T) {
 	tr := newTracer(makeProg(2, []int{5}, []int{5}), nil)
-	tr.LoopStart(0, 0, 1, 1) // outer tracks slot 5
-	tr.LoopStart(10, 1, 1, 1)
-	tr.LocalStore(20, vmsim.SlotID{Frame: 1, Slot: 5}, 1)
-	tr.LoopEnd(30, 1) // inner frees its reservation
-	tr.LoopIter(50, 0)
-	tr.LocalLoad(80, vmsim.SlotID{Frame: 1, Slot: 5}, 2)
-	tr.LoopEnd(100, 0)
+	tr.Consume(loopStart(0, 0, 1, 1)) // outer tracks slot 5
+	tr.Consume(loopStart(10, 1, 1, 1))
+	tr.Consume(localStore(20, vmsim.SlotID{Frame: 1, Slot: 5}, 1))
+	tr.Consume(loopEnd(30, 1)) // inner frees its reservation
+	tr.Consume(loopIter(50, 0))
+	tr.Consume(localLoad(80, vmsim.SlotID{Frame: 1, Slot: 5}, 2))
+	tr.Consume(loopEnd(100, 0))
 
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 1 || s.ArcLenSum[core.BinPrev] != 60 {
@@ -304,13 +333,13 @@ func TestOverflowFreePolicy(t *testing.T) {
 	cfg.Buffers.LoadLines = 1
 	tr := core.NewTracer(makeProg(1), cfg, core.Options{OverflowFree: 0.5, MinThreads: 1})
 	// Entry 1: every thread overflows.
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapLoad(10, 0x1000, 1)
-	tr.HeapLoad(20, 0x2000, 2)
-	tr.LoopEnd(30, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapLoad(10, 0x1000, 1))
+	tr.Consume(heapLoad(20, 0x2000, 2))
+	tr.Consume(loopEnd(30, 0))
 	// Entry 2: the loop is now freed; no stats accumulate.
-	tr.LoopStart(40, 0, 0, 1)
-	tr.LoopEnd(50, 0)
+	tr.Consume(loopStart(40, 0, 0, 1))
+	tr.Consume(loopEnd(50, 0))
 	s := tr.Results()[0]
 	if s.Entries != 1 {
 		t.Fatalf("entries = %d: overflow-freed loop kept its bank", s.Entries)
@@ -321,13 +350,13 @@ func TestOverflowFreePolicy(t *testing.T) {
 // (the runtime "nops out" its annotations).
 func TestThreadQuota(t *testing.T) {
 	tr := core.NewTracer(makeProg(1), hydra.DefaultConfig(), core.Options{ThreadQuota: 2})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopIter(10, 0)
-	tr.LoopIter(20, 0)
-	tr.LoopEnd(30, 0) // 3 threads >= quota 2 -> disabled
-	tr.LoopStart(40, 0, 0, 1)
-	tr.LoopIter(50, 0)
-	tr.LoopEnd(60, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopIter(10, 0))
+	tr.Consume(loopIter(20, 0))
+	tr.Consume(loopEnd(30, 0)) // 3 threads >= quota 2 -> disabled
+	tr.Consume(loopStart(40, 0, 0, 1))
+	tr.Consume(loopIter(50, 0))
+	tr.Consume(loopEnd(60, 0))
 	if s := tr.Results()[0]; s.Entries != 1 || s.Threads != 3 {
 		t.Fatalf("quota did not disable tracing: entries=%d threads=%d", s.Entries, s.Threads)
 	}
@@ -336,15 +365,15 @@ func TestThreadQuota(t *testing.T) {
 // TestExtendedPCBins: the extended tracer bins critical arcs by load PC.
 func TestExtendedPCBins(t *testing.T) {
 	tr := core.NewTracer(makeProg(1), hydra.DefaultConfig(), core.Options{Extended: true})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.HeapStore(10, 0x1000, 1)
-	tr.LoopIter(100, 0)
-	tr.HeapLoad(150, 0x1000, 77)
-	tr.LoopIter(200, 0)
-	tr.HeapStore(210, 0x1000, 1)
-	tr.LoopIter(300, 0)
-	tr.HeapLoad(320, 0x1000, 77)
-	tr.LoopEnd(400, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(loopIter(100, 0))
+	tr.Consume(heapLoad(150, 0x1000, 77))
+	tr.Consume(loopIter(200, 0))
+	tr.Consume(heapStore(210, 0x1000, 1))
+	tr.Consume(loopIter(300, 0))
+	tr.Consume(heapLoad(320, 0x1000, 77))
+	tr.Consume(loopEnd(400, 0))
 
 	s := tr.Results()[0]
 	pa := s.PCArcs[77]
@@ -359,12 +388,12 @@ func TestExtendedPCBins(t *testing.T) {
 // TestParentEdges: dynamic nesting is recorded for the loop-tree builder.
 func TestParentEdges(t *testing.T) {
 	tr := newTracer(makeProg(2), nil)
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopStart(10, 1, 0, 1)
-	tr.LoopEnd(20, 1)
-	tr.LoopStart(30, 1, 0, 1)
-	tr.LoopEnd(40, 1)
-	tr.LoopEnd(50, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopStart(10, 1, 0, 1))
+	tr.Consume(loopEnd(20, 1))
+	tr.Consume(loopStart(30, 1, 0, 1))
+	tr.Consume(loopEnd(40, 1))
+	tr.Consume(loopEnd(50, 0))
 	pe := tr.ParentEdges()
 	if pe[0][-1] != 1 {
 		t.Fatalf("loop 0 top-level edges = %v", pe[0])
@@ -394,7 +423,7 @@ func TestDependencyAnalysisMatchesOracle(t *testing.T) {
 			c.Tracer.HeapStoreLines = 1 << 20
 		})
 		now := int64(0)
-		tr.LoopStart(now, 0, 0, 1)
+		tr.Consume(loopStart(now, 0, 0, 1))
 
 		storeTS := map[uint32]int64{}
 		threadStart := []int64{0} // start time per thread
@@ -414,7 +443,7 @@ func TestDependencyAnalysisMatchesOracle(t *testing.T) {
 			addr := uint32(o.Addr) * 4
 			switch o.Kind % 3 {
 			case 0:
-				tr.HeapLoad(now, addr, 1)
+				tr.Consume(heapLoad(now, addr, 1))
 				if ts, ok := storeTS[addr]; ok && ts < threadStart[len(threadStart)-1] {
 					bin := core.BinEarlier
 					if len(threadStart) >= 2 && ts >= threadStart[len(threadStart)-2] {
@@ -427,16 +456,16 @@ func TestDependencyAnalysisMatchesOracle(t *testing.T) {
 					}
 				}
 			case 1:
-				tr.HeapStore(now, addr, 1)
+				tr.Consume(heapStore(now, addr, 1))
 				storeTS[addr] = now
 			case 2:
-				tr.LoopIter(now, 0)
+				tr.Consume(loopIter(now, 0))
 				fold()
 				threadStart = append(threadStart, now)
 			}
 		}
 		now++
-		tr.LoopEnd(now, 0)
+		tr.Consume(loopEnd(now, 0))
 		fold()
 
 		s := tr.Results()[0]
@@ -461,7 +490,7 @@ func TestOverflowCountMatchesOracle(t *testing.T) {
 			c.Buffers.StoreLines = 2
 		})
 		now := int64(0)
-		tr.LoopStart(now, 0, 0, 1)
+		tr.Consume(loopStart(now, 0, 0, 1))
 		ldLines := map[uint32]bool{}
 		stLines := map[uint32]bool{}
 		over := false
@@ -482,24 +511,24 @@ func TestOverflowCountMatchesOracle(t *testing.T) {
 			addr := uint32(o.Line%64) * 32
 			switch o.Kind % 3 {
 			case 0:
-				tr.HeapLoad(now, addr, 1)
+				tr.Consume(heapLoad(now, addr, 1))
 				ldLines[addr/32] = true
 				if len(ldLines) > 3 {
 					over = true
 				}
 			case 1:
-				tr.HeapStore(now, addr, 1)
+				tr.Consume(heapStore(now, addr, 1))
 				stLines[addr/32] = true
 				if len(stLines) > 2 {
 					over = true
 				}
 			case 2:
-				tr.LoopIter(now, 0)
+				tr.Consume(loopIter(now, 0))
 				fold()
 			}
 		}
 		now += 3
-		tr.LoopEnd(now, 0)
+		tr.Consume(loopEnd(now, 0))
 		fold()
 		s := tr.Results()[0]
 		return s.Overflows == wantOverflows && s.Threads == wantThreads
@@ -514,10 +543,10 @@ func TestOverflowCountMatchesOracle(t *testing.T) {
 // the final thread).
 func TestThreadAccountingMatchesPaper(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopIter(11, 0)
-	tr.LoopIter(21, 0)
-	tr.LoopEnd(35, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopIter(11, 0))
+	tr.Consume(loopIter(21, 0))
+	tr.Consume(loopEnd(35, 0))
 	s := tr.Results()[0]
 	if s.Threads != 3 || s.Entries != 1 || s.Cycles != 35 {
 		t.Fatalf("threads/entries/cycles = %d/%d/%d, want 3/1/35", s.Threads, s.Entries, s.Cycles)
@@ -528,17 +557,17 @@ func TestThreadAccountingMatchesPaper(t *testing.T) {
 // no statistics behind.
 func TestEventsOutsideLoopsIgnored(t *testing.T) {
 	tr := newTracer(makeProg(1), nil)
-	tr.HeapStore(1, 0x1000, 1)
-	tr.HeapLoad(2, 0x1000, 2)
+	tr.Consume(heapStore(1, 0x1000, 1))
+	tr.Consume(heapLoad(2, 0x1000, 2))
 	if len(tr.Results()) != 0 {
 		t.Fatalf("stats appeared without any loop: %v", tr.Results())
 	}
 	// But a later loop can still see the pre-recorded store timestamp as
 	// intra/pre-loop (no arc).
-	tr.LoopStart(10, 0, 0, 1)
-	tr.LoopIter(20, 0)
-	tr.HeapLoad(25, 0x1000, 3)
-	tr.LoopEnd(30, 0)
+	tr.Consume(loopStart(10, 0, 0, 1))
+	tr.Consume(loopIter(20, 0))
+	tr.Consume(heapLoad(25, 0x1000, 3))
+	tr.Consume(loopEnd(30, 0))
 	if s := tr.Results()[0]; s.ArcCount[core.BinPrev] != 0 || s.ArcCount[core.BinEarlier] != 0 {
 		t.Fatalf("pre-loop store produced arcs: %v", s.ArcCount)
 	}
@@ -551,15 +580,15 @@ func TestOuterBankSeesThroughUntracedInner(t *testing.T) {
 	tr := newTracer(makeProg(2), func(c *hydra.Config) {
 		c.Tracer.Banks = 1
 	})
-	tr.LoopStart(0, 0, 0, 1)
-	tr.LoopStart(5, 1, 0, 1) // no bank: placeholder
-	tr.HeapStore(10, 0x1000, 1)
-	tr.LoopEnd(15, 1)
-	tr.LoopIter(20, 0)
-	tr.LoopStart(25, 1, 0, 1)
-	tr.HeapLoad(30, 0x1000, 2) // arc across outer threads
-	tr.LoopEnd(35, 1)
-	tr.LoopEnd(40, 0)
+	tr.Consume(loopStart(0, 0, 0, 1))
+	tr.Consume(loopStart(5, 1, 0, 1)) // no bank: placeholder
+	tr.Consume(heapStore(10, 0x1000, 1))
+	tr.Consume(loopEnd(15, 1))
+	tr.Consume(loopIter(20, 0))
+	tr.Consume(loopStart(25, 1, 0, 1))
+	tr.Consume(heapLoad(30, 0x1000, 2)) // arc across outer threads
+	tr.Consume(loopEnd(35, 1))
+	tr.Consume(loopEnd(40, 0))
 	s := tr.Results()[0]
 	if s.ArcCount[core.BinPrev] != 1 || s.ArcLenSum[core.BinPrev] != 20 {
 		t.Fatalf("outer arc bin = (%d,%d), want (1,20)", s.ArcCount[core.BinPrev], s.ArcLenSum[core.BinPrev])
@@ -570,15 +599,15 @@ func TestOuterBankSeesThroughUntracedInner(t *testing.T) {
 // recursion) keeps two independent banks.
 func TestRecursiveLoopActivations(t *testing.T) {
 	tr := newTracer(makeProg(1, []int{0}), nil)
-	tr.LoopStart(0, 0, 1, 1) // outer activation, frame 1
-	tr.LocalStore(5, vmsim.SlotID{Frame: 1, Slot: 0}, 1)
-	tr.LoopStart(10, 0, 1, 2) // recursive activation, frame 2
-	tr.LoopIter(20, 0)
-	tr.LocalLoad(25, vmsim.SlotID{Frame: 2, Slot: 0}, 2) // no store in frame 2: no arc
-	tr.LoopEnd(30, 0)
-	tr.LoopIter(40, 0)
-	tr.LocalLoad(45, vmsim.SlotID{Frame: 1, Slot: 0}, 3) // arc in the outer activation
-	tr.LoopEnd(50, 0)
+	tr.Consume(loopStart(0, 0, 1, 1)) // outer activation, frame 1
+	tr.Consume(localStore(5, vmsim.SlotID{Frame: 1, Slot: 0}, 1))
+	tr.Consume(loopStart(10, 0, 1, 2)) // recursive activation, frame 2
+	tr.Consume(loopIter(20, 0))
+	tr.Consume(localLoad(25, vmsim.SlotID{Frame: 2, Slot: 0}, 2)) // no store in frame 2: no arc
+	tr.Consume(loopEnd(30, 0))
+	tr.Consume(loopIter(40, 0))
+	tr.Consume(localLoad(45, vmsim.SlotID{Frame: 1, Slot: 0}, 3)) // arc in the outer activation
+	tr.Consume(loopEnd(50, 0))
 	s := tr.Results()[0]
 	// Two activations: entries 2; arcs: exactly one (frame 1's).
 	if s.Entries != 2 {
@@ -595,11 +624,11 @@ func TestOverflowOncePerThread(t *testing.T) {
 	tr := newTracer(makeProg(1), func(c *hydra.Config) {
 		c.Buffers.LoadLines = 1
 	})
-	tr.LoopStart(0, 0, 0, 1)
+	tr.Consume(loopStart(0, 0, 0, 1))
 	for i := 0; i < 10; i++ {
-		tr.HeapLoad(int64(10+i), uint32(0x1000+i*32), i)
+		tr.Consume(heapLoad(int64(10+i), uint32(0x1000+i*32), i))
 	}
-	tr.LoopEnd(100, 0)
+	tr.Consume(loopEnd(100, 0))
 	if s := tr.Results()[0]; s.Overflows != 1 {
 		t.Fatalf("overflows = %d, want 1 (counted once per thread)", s.Overflows)
 	}

@@ -194,14 +194,14 @@ func sweepSuite(ctx context.Context, sw GridSweeper, scale float64, opts jrpm.Op
 	return nil
 }
 
-// replayInto replays a recorded trace into an arbitrary VM listener.
-func replayInto(c *jrpm.Compiled, data []byte, l vmsim.Listener) error {
+// replayInto replays a recorded trace into an arbitrary VM event consumer.
+func replayInto(c *jrpm.Compiled, data []byte, cons vmsim.Consumer) error {
 	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	r.NumLoops = len(c.Annotated.Loops)
-	_, err = r.Replay(l)
+	_, err = r.Replay(cons)
 	return err
 }
 
@@ -224,7 +224,7 @@ type oracleEntry struct {
 	curMin map[int]int64
 }
 
-// OracleTracer is a software listener with no hardware limits: exact store
+// OracleTracer is a software tracer with no hardware limits: exact store
 // timestamps for every address, and critical arcs binned by exact thread
 // distance. It exists purely to quantify what the two-bin hardware loses.
 type OracleTracer struct {
@@ -234,7 +234,7 @@ type OracleTracer struct {
 	perLoop map[int]*distStats
 }
 
-var _ vmsim.Listener = (*OracleTracer)(nil)
+var _ vmsim.Consumer = (*OracleTracer)(nil)
 
 // NewOracleTracer builds the unlimited-precision reference tracer for an
 // annotated program (the loop table supplies each loop's globalized local
@@ -268,8 +268,30 @@ func (o *OracleTracer) loopStats(loop int) *distStats {
 	return ds
 }
 
-// LoopStart pushes an entry.
-func (o *OracleTracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
+// Consume feeds a batch of VM events to the oracle in execution order.
+// Local variables are handled like heap words under slot keys, filtered
+// per loop to its own globalized variables.
+func (o *OracleTracer) Consume(evs []vmsim.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case vmsim.EvHeapLoad, vmsim.EvHeapStore:
+			o.access(ev.Now, uint64(ev.Addr), ev.Kind == vmsim.EvHeapStore, false, vmsim.SlotID{})
+		case vmsim.EvLocalLoad, vmsim.EvLocalStore:
+			id := vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}
+			o.access(ev.Now, 1<<40|id.Frame<<12|uint64(id.Slot&0xfff), ev.Kind == vmsim.EvLocalStore, true, id)
+		case vmsim.EvLoopStart:
+			o.loopStart(ev.Now, int(ev.Loop), ev.Frame)
+		case vmsim.EvLoopIter:
+			o.loopIter(ev.Now, int(ev.Loop))
+		case vmsim.EvLoopEnd:
+			o.loopEnd(ev.Now, int(ev.Loop))
+		}
+	}
+}
+
+// loopStart pushes an entry.
+func (o *OracleTracer) loopStart(now int64, loop int, frame uint64) {
 	e := &oracleEntry{
 		loop:        loop,
 		frame:       frame,
@@ -295,8 +317,8 @@ func (e *oracleEntry) endThread(o *OracleTracer, now int64) {
 	e.threadStart = append(e.threadStart, now)
 }
 
-// LoopIter folds the finished thread.
-func (o *OracleTracer) LoopIter(now int64, loop int) {
+// loopIter folds the finished thread.
+func (o *OracleTracer) loopIter(now int64, loop int) {
 	for i := len(o.stack) - 1; i >= 0; i-- {
 		if o.stack[i].loop == loop {
 			o.stack[i].endThread(o, now)
@@ -305,8 +327,8 @@ func (o *OracleTracer) LoopIter(now int64, loop int) {
 	}
 }
 
-// LoopEnd folds the final thread and pops.
-func (o *OracleTracer) LoopEnd(now int64, loop int) {
+// loopEnd folds the final thread and pops.
+func (o *OracleTracer) loopEnd(now int64, loop int) {
 	n := len(o.stack) - 1
 	if n < 0 {
 		return
@@ -350,30 +372,6 @@ func (o *OracleTracer) access(now int64, key uint64, isStore bool, local bool, i
 		}
 	}
 }
-
-// HeapLoad feeds the oracle's dependency analysis.
-func (o *OracleTracer) HeapLoad(now int64, addr uint32, pc int) {
-	o.access(now, uint64(addr), false, false, vmsim.SlotID{})
-}
-
-// HeapStore records exact store timestamps.
-func (o *OracleTracer) HeapStore(now int64, addr uint32, pc int) {
-	o.access(now, uint64(addr), true, false, vmsim.SlotID{})
-}
-
-// LocalLoad mirrors heap handling with slot keys, filtered per loop to its
-// own globalized variables.
-func (o *OracleTracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	o.access(now, 1<<40|id.Frame<<12|uint64(id.Slot&0xfff), false, true, id)
-}
-
-// LocalStore mirrors heap handling with slot keys.
-func (o *OracleTracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	o.access(now, 1<<40|id.Frame<<12|uint64(id.Slot&0xfff), true, true, id)
-}
-
-// ReadStats is ignored.
-func (o *OracleTracer) ReadStats(now int64, loop int) {}
 
 // oracleSpeedup evaluates Equation 1's structure with exact distance bins:
 // each bin k constrains the initiation interval to T - A_k/k.
@@ -501,8 +499,9 @@ func AblateBins(scale float64) ([]BinsRow, string, error) {
 	return rows, sb.String(), nil
 }
 
-// runWithListener re-runs an already-profiled program with a listener.
-func runWithListener(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, l vmsim.Listener) error {
+// runWithConsumer re-runs an already-profiled program with an event
+// consumer attached.
+func runWithConsumer(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, cons vmsim.Consumer) error {
 	vm := vmsim.New(pr.Annotated)
 	vm.AnnotCost = opts.Cfg.Tracer.AnnotCost
 	vm.ReadStatsCost = opts.Cfg.Tracer.ReadStatsCost
@@ -516,6 +515,6 @@ func runWithListener(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, l
 			return err
 		}
 	}
-	vm.Listeners = append(vm.Listeners, l)
+	vm.Consumers = append(vm.Consumers, cons)
 	return vm.Run("main")
 }

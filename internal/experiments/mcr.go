@@ -34,7 +34,7 @@ func MethodCallReturn(scale float64) ([]MCRRow, string, error) {
 			return nil, "", err
 		}
 		an := mcr.New(pr.Annotated)
-		if err := runWithListener(pr, in, opts, an); err != nil {
+		if err := runWithConsumer(pr, in, opts, an); err != nil {
 			return nil, "", err
 		}
 		an.Finish(pr.TracedCycles)

@@ -48,7 +48,8 @@ type SiteStats struct {
 	InLoopCalls int64
 }
 
-// Analyzer is a VM listener measuring method-call-return overlap.
+// Analyzer is a VM event consumer and call listener measuring
+// method-call-return overlap.
 type Analyzer struct {
 	prog  *tir.Program
 	sites map[int]*SiteStats
@@ -88,7 +89,7 @@ type contWindow struct {
 }
 
 var (
-	_ vmsim.Listener     = (*Analyzer)(nil)
+	_ vmsim.Consumer     = (*Analyzer)(nil)
 	_ vmsim.CallListener = (*Analyzer)(nil)
 )
 
@@ -188,14 +189,32 @@ func (a *Analyzer) finalize(w *contWindow, end int64) {
 	a.totalTime = end
 }
 
-// HeapStore records store times (for callee->continuation arcs).
-func (a *Analyzer) HeapStore(now int64, addr uint32, pc int) {
-	a.stores[uint64(addr)] = now
+// Consume records heap store times (for callee->continuation arcs),
+// checks heap loads against open continuation windows, and tracks
+// whether calls happen under a candidate loop. Locals are frame-private
+// across a call boundary (the callee cannot write the caller's locals in
+// JR), so they carry no callee->continuation dependences.
+func (a *Analyzer) Consume(evs []vmsim.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case vmsim.EvHeapStore:
+			a.stores[uint64(ev.Addr)] = ev.Now
+		case vmsim.EvHeapLoad:
+			a.heapLoad(ev.Now, ev.Addr)
+		case vmsim.EvLoopStart:
+			a.loopDepth++
+		case vmsim.EvLoopEnd:
+			if a.loopDepth > 0 {
+				a.loopDepth--
+			}
+		}
+	}
 }
 
-// HeapLoad checks open continuation windows for their first dependence on
+// heapLoad checks open continuation windows for their first dependence on
 // a callee store.
-func (a *Analyzer) HeapLoad(now int64, addr uint32, pc int) {
+func (a *Analyzer) heapLoad(now int64, addr uint32) {
 	ts, ok := a.stores[uint64(addr)]
 	if !ok {
 		return
@@ -209,24 +228,6 @@ func (a *Analyzer) HeapLoad(now int64, addr uint32, pc int) {
 		}
 	}
 }
-
-// LocalLoad / LocalStore: locals are frame-private across a call boundary
-// (the callee cannot write the caller's locals in JR), so they carry no
-// callee->continuation dependences.
-func (a *Analyzer) LocalLoad(now int64, id vmsim.SlotID, pc int)  {}
-func (a *Analyzer) LocalStore(now int64, id vmsim.SlotID, pc int) {}
-
-// LoopStart/LoopEnd track whether calls happen under a candidate loop.
-func (a *Analyzer) LoopStart(now int64, loop, numLocals int, frame uint64) { a.loopDepth++ }
-func (a *Analyzer) LoopIter(now int64, loop int)                           {}
-func (a *Analyzer) LoopEnd(now int64, loop int) {
-	if a.loopDepth > 0 {
-		a.loopDepth--
-	}
-}
-
-// ReadStats is ignored.
-func (a *Analyzer) ReadStats(now int64, loop int) {}
 
 // Finish closes any windows still open at program end.
 func (a *Analyzer) Finish(now int64) {

@@ -22,7 +22,7 @@ func runMCR(t *testing.T, src string, ints map[string][]int64, opts annotate.Opt
 	}
 	vm := vmsim.New(prog)
 	a := mcr.New(prog)
-	vm.Listeners = append(vm.Listeners, a)
+	vm.Consumers = append(vm.Consumers, a)
 	for name, vals := range ints {
 		if err := vm.BindGlobalInts(name, vals); err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"jrpm/internal/hydra"
 	"jrpm/internal/profile"
 	"jrpm/internal/tir"
+	"jrpm/internal/vmsim"
 )
 
 // driveTracer builds a tracer over a program with n candidate loops and
@@ -21,18 +22,31 @@ func driveTracer(n int, drive func(tr *core.Tracer)) (*tir.Program, *core.Tracer
 	return prog, tr
 }
 
+// One-event batches for driving a Tracer through Consume.
+func loopStart(now int64, loop, numLocals int, frame uint64) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(loop), NumLocals: int32(numLocals), Frame: frame}}
+}
+
+func loopIter(now int64, loop int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(loop)}}
+}
+
+func loopEnd(now int64, loop int) []vmsim.Event {
+	return []vmsim.Event{{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(loop)}}
+}
+
 // TestBuildTreeNesting: dynamic nesting produces the right tree, depths
 // and heights.
 func TestBuildTreeNesting(t *testing.T) {
 	prog, tr := driveTracer(3, func(tr *core.Tracer) {
-		tr.LoopStart(0, 0, 0, 1)
-		tr.LoopStart(10, 1, 0, 1)
-		tr.LoopStart(20, 2, 0, 1)
-		tr.LoopIter(30, 2)
-		tr.LoopEnd(40, 2)
-		tr.LoopEnd(50, 1)
-		tr.LoopIter(60, 0)
-		tr.LoopEnd(100, 0)
+		tr.Consume(loopStart(0, 0, 0, 1))
+		tr.Consume(loopStart(10, 1, 0, 1))
+		tr.Consume(loopStart(20, 2, 0, 1))
+		tr.Consume(loopIter(30, 2))
+		tr.Consume(loopEnd(40, 2))
+		tr.Consume(loopEnd(50, 1))
+		tr.Consume(loopIter(60, 0))
+		tr.Consume(loopEnd(100, 0))
 	})
 	a := profile.BuildTree(prog, tr, 120, 120, hydra.DefaultConfig())
 	if len(a.Roots) != 1 || a.Roots[0].Loop != 0 {
@@ -63,16 +77,16 @@ func TestBuildTreeNesting(t *testing.T) {
 func TestBuildTreePrimaryParent(t *testing.T) {
 	prog, tr := driveTracer(3, func(tr *core.Tracer) {
 		// Loop 2 entered once under loop 0, twice under loop 1.
-		tr.LoopStart(0, 0, 0, 1)
-		tr.LoopStart(10, 2, 0, 1)
-		tr.LoopEnd(20, 2)
-		tr.LoopEnd(30, 0)
-		tr.LoopStart(40, 1, 0, 1)
-		tr.LoopStart(50, 2, 0, 1)
-		tr.LoopEnd(60, 2)
-		tr.LoopStart(70, 2, 0, 1)
-		tr.LoopEnd(80, 2)
-		tr.LoopEnd(90, 1)
+		tr.Consume(loopStart(0, 0, 0, 1))
+		tr.Consume(loopStart(10, 2, 0, 1))
+		tr.Consume(loopEnd(20, 2))
+		tr.Consume(loopEnd(30, 0))
+		tr.Consume(loopStart(40, 1, 0, 1))
+		tr.Consume(loopStart(50, 2, 0, 1))
+		tr.Consume(loopEnd(60, 2))
+		tr.Consume(loopStart(70, 2, 0, 1))
+		tr.Consume(loopEnd(80, 2))
+		tr.Consume(loopEnd(90, 1))
 	})
 	a := profile.BuildTree(prog, tr, 100, 100, hydra.DefaultConfig())
 	if a.Nodes[2].Parent == nil || a.Nodes[2].Parent.Loop != 1 {
@@ -87,11 +101,11 @@ func TestBuildTreePrimaryParent(t *testing.T) {
 // in predictions.
 func TestBuildTreeScaleDeflation(t *testing.T) {
 	prog, tr := driveTracer(1, func(tr *core.Tracer) {
-		tr.LoopStart(0, 0, 0, 1)
+		tr.Consume(loopStart(0, 0, 0, 1))
 		for i := int64(1); i <= 100; i++ {
-			tr.LoopIter(i*100, 0)
+			tr.Consume(loopIter(i*100, 0))
 		}
-		tr.LoopEnd(10100, 0)
+		tr.Consume(loopEnd(10100, 0))
 	})
 	// Traced run took 12000 cycles but the clean run took 6000: scale 0.5.
 	a := profile.BuildTree(prog, tr, 12000, 6000, hydra.DefaultConfig())
@@ -113,9 +127,9 @@ func TestBuildTreeScaleDeflation(t *testing.T) {
 // run.
 func TestCoverageUsesTracedTotal(t *testing.T) {
 	prog, tr := driveTracer(1, func(tr *core.Tracer) {
-		tr.LoopStart(0, 0, 0, 1)
-		tr.LoopIter(500, 0)
-		tr.LoopEnd(1000, 0)
+		tr.Consume(loopStart(0, 0, 0, 1))
+		tr.Consume(loopIter(500, 0))
+		tr.Consume(loopEnd(1000, 0))
 	})
 	a := profile.BuildTree(prog, tr, 2000, 2000, hydra.DefaultConfig())
 	if cov := a.Nodes[0].Coverage(a.TotalCycles); cov != 0.5 {
@@ -126,8 +140,8 @@ func TestCoverageUsesTracedTotal(t *testing.T) {
 // TestLoopNameRendering: names include the static loop label.
 func TestLoopNameRendering(t *testing.T) {
 	prog, tr := driveTracer(1, func(tr *core.Tracer) {
-		tr.LoopStart(0, 0, 0, 1)
-		tr.LoopEnd(10, 0)
+		tr.Consume(loopStart(0, 0, 0, 1))
+		tr.Consume(loopEnd(10, 0))
 	})
 	prog.Loops[0].Name = "main:42"
 	a := profile.BuildTree(prog, tr, 10, 10, hydra.DefaultConfig())

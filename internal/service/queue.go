@@ -409,7 +409,6 @@ func (p *Pool) run(j *Job) {
 		return // canceled while queued; Cancel dropped the live count
 	}
 	defer p.live.Add(-1)
-	defer p.queue.completed(j.Tenant)
 	p.metrics.QueueWait.Observe(wait)
 
 	var sp *telemetry.Span
@@ -437,25 +436,29 @@ func (p *Pool) run(j *Job) {
 	}()
 	p.metrics.RunTime.Observe(time.Since(began))
 
+	state, msg := StateDone, ""
 	switch {
 	case err == nil:
 		p.metrics.JobsCompleted.Add(1)
-		j.finish(StateDone, res, "")
 	case errors.Is(err, context.Canceled):
 		p.metrics.JobsCanceled.Add(1)
-		j.finish(StateCanceled, nil, "canceled")
+		state, res, msg = StateCanceled, nil, "canceled"
 	default:
 		if dcause != nil && context.Cause(ctx) == dcause {
 			p.metrics.DeadlineExpired.Add(1)
 		}
 		p.metrics.JobsFailed.Add(1)
-		j.finish(StateFailed, nil, err.Error())
+		state, res, msg = StateFailed, nil, err.Error()
 	}
+	// Finish last: a client woken by it must find this job already in
+	// the tenant counters and its span already ended.
+	p.queue.completed(j.Tenant)
 	if sp != nil {
-		sp.SetAttr("job.state", string(j.View().State))
+		sp.SetAttr("job.state", string(state))
 		sp.Fail(err)
 		sp.End()
 	}
+	j.finish(state, res, msg)
 }
 
 // execute runs one job. Pipeline jobs resolve, hit or fill the artifact

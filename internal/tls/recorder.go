@@ -6,13 +6,14 @@ import (
 	"jrpm/internal/vmsim"
 )
 
-// Recorder is a VM listener that captures per-iteration memory traces for
-// a set of selected loops, feeding the TLS timing simulation. The selected
-// set is exclusive (no loop is an ancestor or descendant of another), so
-// at most one recording is active at a time; if a selected loop is entered
-// while another recording is active (possible only through a rare
-// secondary dynamic parent), its events simply fold into the active
-// recording, matching the hardware's one-decomposition-at-a-time rule.
+// Recorder is a VM event consumer that captures per-iteration memory
+// traces for a set of selected loops, feeding the TLS timing simulation.
+// The selected set is exclusive (no loop is an ancestor or descendant of
+// another), so at most one recording is active at a time; if a selected
+// loop is entered while another recording is active (possible only
+// through a rare secondary dynamic parent), its events simply fold into
+// the active recording, matching the hardware's
+// one-decomposition-at-a-time rule.
 //
 // Local-variable events are filtered to the selected loop's own globalized
 // variables (its AnnLocals, in its activation frame): those are the
@@ -79,36 +80,33 @@ func (r *Recorder) Results() map[int]*Result {
 	return r.sim.results()
 }
 
-var (
-	_ vmsim.Listener      = (*Recorder)(nil)
-	_ vmsim.BatchConsumer = (*Recorder)(nil)
-)
+var _ vmsim.Consumer = (*Recorder)(nil)
 
-// ConsumeEvents takes a batch of VM events in execution order.
-func (r *Recorder) ConsumeEvents(evs []vmsim.Event) {
+// Consume takes a batch of VM events in execution order.
+func (r *Recorder) Consume(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case vmsim.EvHeapLoad:
-			r.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+			r.heap(ev.Now, ev.Addr, Load, int(ev.PC))
 		case vmsim.EvHeapStore:
-			r.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+			r.heap(ev.Now, ev.Addr, Store, int(ev.PC))
 		case vmsim.EvLocalLoad:
-			r.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			r.local(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, LocalLoad, int(ev.PC))
 		case vmsim.EvLocalStore:
-			r.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			r.local(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, LocalStore, int(ev.PC))
 		case vmsim.EvLoopStart:
-			r.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+			r.loopStart(ev.Now, int(ev.Loop), ev.Frame)
 		case vmsim.EvLoopIter:
-			r.LoopIter(ev.Now, int(ev.Loop))
+			r.loopIter(ev.Now, int(ev.Loop))
 		case vmsim.EvLoopEnd:
-			r.LoopEnd(ev.Now, int(ev.Loop))
+			r.loopEnd(ev.Now, int(ev.Loop))
 		}
 	}
 }
 
-// LoopStart opens a recording when a selected loop is entered.
-func (r *Recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
+// loopStart opens a recording when a selected loop is entered.
+func (r *Recorder) loopStart(now int64, loop int, frame uint64) {
 	if r.active {
 		if loop == r.activeLoop {
 			r.depth++
@@ -138,16 +136,16 @@ func (r *Recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	}
 }
 
-// LoopIter closes the current iteration of the recorded loop.
-func (r *Recorder) LoopIter(now int64, loop int) {
+// loopIter closes the current iteration of the recorded loop.
+func (r *Recorder) loopIter(now int64, loop int) {
 	if !r.active || loop != r.activeLoop || r.depth > 0 {
 		return
 	}
 	r.closeIter(now)
 }
 
-// LoopEnd closes the recording.
-func (r *Recorder) LoopEnd(now int64, loop int) {
+// loopEnd closes the recording.
+func (r *Recorder) loopEnd(now int64, loop int) {
 	if !r.active || loop != r.activeLoop {
 		return
 	}
@@ -182,17 +180,10 @@ func (r *Recorder) record(now int64, addr uint64, kind AccessKind, pc int) {
 	r.acc = append(r.acc, Access{Rel: now - r.iterStart, Addr: addr, Kind: kind, PC: pc})
 }
 
-// HeapLoad records a heap read.
-func (r *Recorder) HeapLoad(now int64, addr uint32, pc int) {
+// heap records a heap access.
+func (r *Recorder) heap(now int64, addr uint32, kind AccessKind, pc int) {
 	if r.active {
-		r.record(now, uint64(addr), Load, pc)
-	}
-}
-
-// HeapStore records a heap write.
-func (r *Recorder) HeapStore(now int64, addr uint32, pc int) {
-	if r.active {
-		r.record(now, uint64(addr), Store, pc)
+		r.record(now, uint64(addr), kind, pc)
 	}
 }
 
@@ -209,21 +200,10 @@ func (r *Recorder) ownLocal(id vmsim.SlotID) bool {
 		uint(id.Slot) < uint(len(r.allowed)) && r.allowed[id.Slot]
 }
 
-// LocalLoad records a synchronized-local read (lwl annotation) of one of
-// the selected loop's globalized variables.
-func (r *Recorder) LocalLoad(now int64, id vmsim.SlotID, pc int) {
+// local records a synchronized-local access (lwl/swl annotation) of one
+// of the selected loop's globalized variables.
+func (r *Recorder) local(now int64, id vmsim.SlotID, kind AccessKind, pc int) {
 	if r.ownLocal(id) {
-		r.record(now, slotAddr(id), LocalLoad, pc)
+		r.record(now, slotAddr(id), kind, pc)
 	}
 }
-
-// LocalStore records a synchronized-local write (swl annotation) of one of
-// the selected loop's globalized variables.
-func (r *Recorder) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	if r.ownLocal(id) {
-		r.record(now, slotAddr(id), LocalStore, pc)
-	}
-}
-
-// ReadStats is ignored by the recorder.
-func (r *Recorder) ReadStats(now int64, loop int) {}

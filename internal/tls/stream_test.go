@@ -197,8 +197,8 @@ func TestStreamUnclosedEntryLeavesNoResult(t *testing.T) {
 	cfg := hydra.DefaultConfig()
 	keep := NewRecorder(streamProg(), []int{0, 1})
 	stream := NewStreamRecorder(streamProg(), []int{0, 1}, cfg)
-	keep.ConsumeEvents(evs)
-	stream.ConsumeEvents(evs)
+	keep.Consume(evs)
+	stream.Consume(evs)
 	if len(keep.Entries) != 1 || keep.Entries[0].Loop != 1 {
 		t.Fatalf("kept entries = %+v, want only loop 1's", keep.Entries)
 	}
@@ -243,9 +243,9 @@ func TestStreamAllocsPerThread(t *testing.T) {
 			batch[i].Now += base
 		}
 		base += 200
-		rec.ConsumeEvents(batch)
+		rec.Consume(batch)
 	}
-	rec.LoopStart(0, 0, 1, 9)
+	rec.Consume([]vmsim.Event{{Kind: vmsim.EvLoopStart, Now: 0, Loop: 0, NumLocals: 1, Frame: 9}})
 	for i := 0; i < 64; i++ {
 		thread()
 	}

@@ -220,11 +220,13 @@ func recorderProg() *tir.Program {
 // TestRecorderCapturesIterations: boundaries, lengths and accesses.
 func TestRecorderCapturesIterations(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(100, 0, 1, 9)
-	rec.HeapLoad(110, 0x1000, 1)
-	rec.LoopIter(150, 0)
-	rec.HeapStore(160, 0x2000, 2)
-	rec.LoopEnd(230, 0)
+	rec.Consume([]vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 100, Loop: 0, NumLocals: 1, Frame: 9},
+		{Kind: vmsim.EvHeapLoad, Now: 110, Addr: 0x1000, PC: 1},
+		{Kind: vmsim.EvLoopIter, Now: 150, Loop: 0},
+		{Kind: vmsim.EvHeapStore, Now: 160, Addr: 0x2000, PC: 2},
+		{Kind: vmsim.EvLoopEnd, Now: 230, Loop: 0},
+	})
 
 	if len(rec.Entries) != 1 {
 		t.Fatalf("entries = %d", len(rec.Entries))
@@ -251,12 +253,14 @@ func TestRecorderCapturesIterations(t *testing.T) {
 // its own frame are recorded.
 func TestRecorderFiltersLocals(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(0, 0, 1, 9)
-	rec.LocalLoad(10, vmsim.SlotID{Frame: 9, Slot: 3}, 1)  // allowed
-	rec.LocalLoad(20, vmsim.SlotID{Frame: 9, Slot: 5}, 2)  // other loop's slot
-	rec.LocalLoad(30, vmsim.SlotID{Frame: 8, Slot: 3}, 3)  // wrong frame
-	rec.LocalStore(40, vmsim.SlotID{Frame: 9, Slot: 3}, 4) // allowed
-	rec.LoopEnd(50, 0)
+	rec.Consume([]vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 0, Loop: 0, NumLocals: 1, Frame: 9},
+		{Kind: vmsim.EvLocalLoad, Now: 10, Frame: 9, Slot: 3, PC: 1},  // allowed
+		{Kind: vmsim.EvLocalLoad, Now: 20, Frame: 9, Slot: 5, PC: 2},  // other loop's slot
+		{Kind: vmsim.EvLocalLoad, Now: 30, Frame: 8, Slot: 3, PC: 3},  // wrong frame
+		{Kind: vmsim.EvLocalStore, Now: 40, Frame: 9, Slot: 3, PC: 4}, // allowed
+		{Kind: vmsim.EvLoopEnd, Now: 50, Loop: 0},
+	})
 
 	acc := rec.Entries[0].Iters[0].Acc
 	if len(acc) != 2 {
@@ -268,12 +272,14 @@ func TestRecorderFiltersLocals(t *testing.T) {
 // as plain accesses of the active recording.
 func TestRecorderIgnoresUnselectedLoops(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(0, 0, 1, 9)
-	rec.LoopStart(10, 1, 1, 9) // nested unselected loop
-	rec.HeapLoad(20, 0x1000, 1)
-	rec.LoopIter(30, 1) // must not split iteration of loop 0
-	rec.LoopEnd(40, 1)
-	rec.LoopEnd(50, 0)
+	rec.Consume([]vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 0, Loop: 0, NumLocals: 1, Frame: 9},
+		{Kind: vmsim.EvLoopStart, Now: 10, Loop: 1, NumLocals: 1, Frame: 9}, // nested unselected loop
+		{Kind: vmsim.EvHeapLoad, Now: 20, Addr: 0x1000, PC: 1},
+		{Kind: vmsim.EvLoopIter, Now: 30, Loop: 1}, // must not split iteration of loop 0
+		{Kind: vmsim.EvLoopEnd, Now: 40, Loop: 1},
+		{Kind: vmsim.EvLoopEnd, Now: 50, Loop: 0},
+	})
 	e := rec.Entries[0]
 	if len(e.Iters) != 1 {
 		t.Fatalf("nested loop events split the recording: %d iters", len(e.Iters))
@@ -287,10 +293,12 @@ func TestRecorderIgnoresUnselectedLoops(t *testing.T) {
 // are not recorded.
 func TestRecorderOutsideLoopsIgnoresEvents(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.HeapLoad(5, 0x1000, 1)
-	rec.LoopStart(10, 0, 1, 9)
-	rec.LoopEnd(20, 0)
-	rec.HeapStore(30, 0x1000, 2)
+	rec.Consume([]vmsim.Event{
+		{Kind: vmsim.EvHeapLoad, Now: 5, Addr: 0x1000, PC: 1},
+		{Kind: vmsim.EvLoopStart, Now: 10, Loop: 0, NumLocals: 1, Frame: 9},
+		{Kind: vmsim.EvLoopEnd, Now: 20, Loop: 0},
+		{Kind: vmsim.EvHeapStore, Now: 30, Addr: 0x1000, PC: 2},
+	})
 	if len(rec.Entries) != 1 || len(rec.Entries[0].Iters[0].Acc) != 0 {
 		t.Fatalf("out-of-loop events recorded: %+v", rec.Entries)
 	}

@@ -1,9 +1,11 @@
 // Package trace implements persistent capture and replay of the TEST
 // event stream. A recorded trace is the dynamic load/store/local-access/
-// loop-boundary sequence one sequential run of an annotated program
-// publishes to its vmsim.Listeners, serialized into a compact binary form
-// (varint + delta encoding, per-record type tags, self-describing header
-// with a program hash and format version).
+// loop-boundary sequence of vmsim.Events one sequential run of an
+// annotated program hands its vmsim.Consumers, serialized into a compact
+// binary form (varint + delta encoding, per-record type tags,
+// self-describing header with a program hash and format version). Writer
+// is the Consumer that records it; Reader hands the same Events back,
+// one at a time (Next) or in blocks to any Consumers (Replay).
 //
 // Recording once and replaying many times is what makes large analysis
 // sweeps tractable: the comparator-bank model (internal/core) is a pure
@@ -96,19 +98,6 @@ type Summary struct {
 	LoopAnnots   int64
 	ReadStats    int64
 	Annotations  int64 // annotation instructions in the program
-}
-
-// Event is one decoded trace record. Fields are populated per Kind; the
-// unused ones are zero.
-type Event struct {
-	Kind      Kind
-	Time      int64  // cycle timestamp
-	Addr      uint32 // heap events
-	PC        int    // heap and local events
-	Frame     uint64 // local and loop-start events
-	Slot      int    // local events
-	Loop      int    // loop events
-	NumLocals int    // loop-start
 }
 
 // zigzag encodes a signed delta as an unsigned varint-friendly value.

@@ -12,7 +12,7 @@ import (
 
 // FuzzReader feeds arbitrary bytes through the full decode path, once
 // through Reader.Next and once through Reader.Replay into a
-// vmsim.BatchConsumer. The contract under fuzzing is the reader's safety
+// vmsim.Consumer. The contract under fuzzing is the reader's safety
 // property: corrupt input must surface as an error (or a clean EOF for a
 // coincidentally valid stream) — never a panic, and never unbounded
 // allocation, which the format's caps and the reader's
@@ -26,14 +26,16 @@ func FuzzReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.LoopStart(1, 0, 2, 64)
-	w.HeapLoad(2, 0x1000, 3)
-	w.HeapStore(3, 0x1004, 4)
-	w.LocalLoad(4, vmsim.SlotID{Frame: 64, Slot: 1}, 5)
-	w.LocalStore(5, vmsim.SlotID{Frame: 64, Slot: 0}, 6)
-	w.LoopIter(6, 0)
-	w.LoopEnd(7, 0)
-	w.ReadStats(7, 0)
+	w.Consume([]vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 1, Loop: 0, NumLocals: 2, Frame: 64},
+		{Kind: vmsim.EvHeapLoad, Now: 2, Addr: 0x1000, PC: 3},
+		{Kind: vmsim.EvHeapStore, Now: 3, Addr: 0x1004, PC: 4},
+		{Kind: vmsim.EvLocalLoad, Now: 4, Frame: 64, Slot: 1, PC: 5},
+		{Kind: vmsim.EvLocalStore, Now: 5, Frame: 64, Slot: 0, PC: 6},
+		{Kind: vmsim.EvLoopIter, Now: 6, Loop: 0},
+		{Kind: vmsim.EvLoopEnd, Now: 7, Loop: 0},
+		{Kind: vmsim.EvReadStats, Now: 7, Loop: 0},
+	})
 	if err := w.Finish(Summary{CleanCycles: 5, TracedCycles: 7}); err != nil {
 		f.Fatal(err)
 	}
@@ -68,13 +70,13 @@ func FuzzReader(f *testing.F) {
 
 // decodeByNext decodes data through Reader.Next until EOF or the first
 // error.
-func decodeByNext(t *testing.T, data []byte) ([]Event, error) {
+func decodeByNext(t *testing.T, data []byte) ([]vmsim.Event, error) {
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	r.NumLoops = 4
-	var evs []Event
+	var evs []vmsim.Event
 	for {
 		ev, err := r.Next()
 		if errors.Is(err, io.EOF) {
@@ -90,31 +92,16 @@ func decodeByNext(t *testing.T, data []byte) ([]Event, error) {
 	}
 }
 
-// decodeByReplay decodes data through Reader.Replay into a
-// vmsim.BatchConsumer.
-func decodeByReplay(data []byte) ([]Event, error) {
+// decodeByReplay decodes data through Reader.Replay into an eventLog.
+func decodeByReplay(data []byte) ([]vmsim.Event, error) {
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	r.NumLoops = 4
-	var b batchLog
-	_, err = r.Replay(&b)
-	return b.events, err
-}
-
-// batchLog collects replayed events through ConsumeEvents; its Listener
-// methods (from eventLog) record too, so a per-event fallback would also
-// show up in the comparison.
-type batchLog struct{ eventLog }
-
-func (b *batchLog) ConsumeEvents(evs []vmsim.Event) {
-	for _, ev := range evs {
-		b.events = append(b.events, Event{
-			Kind: Kind(ev.Kind) + KindHeapLoad, Time: ev.Now, Addr: ev.Addr, PC: int(ev.PC),
-			Frame: ev.Frame, Slot: int(ev.Slot), Loop: int(ev.Loop), NumLocals: int(ev.NumLocals),
-		})
-	}
+	var l eventLog
+	_, err = r.Replay(&l)
+	return l.events, err
 }
 
 // errClass names the decode error class of err.

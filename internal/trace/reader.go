@@ -277,7 +277,7 @@ type Reader struct {
 
 	// NumLoops, when > 0, bounds loop ids to the replay target's loop
 	// table; out-of-range ids fail decoding instead of indexing panics
-	// inside a listener.
+	// inside a consumer.
 	NumLoops int
 
 	// Decoded events: blk[next:] are not yet handed out, and err is the
@@ -357,46 +357,29 @@ func (r *Reader) Summary() (Summary, bool) {
 // summary trailer has been consumed (Summary then reports the totals);
 // a stream that ends anywhere else is reported as corrupt or truncated,
 // after every event before the bad record.
-func (r *Reader) Next() (Event, error) {
+func (r *Reader) Next() (vmsim.Event, error) {
 	evs := r.pending()
 	if len(evs) == 0 {
 		if r.err != nil {
-			return Event{}, r.err
+			return vmsim.Event{}, r.err
 		}
-		return Event{}, io.EOF
+		return vmsim.Event{}, io.EOF
 	}
 	r.next++
-	ev := &evs[0]
-	return Event{
-		Kind:      Kind(ev.Kind) + KindHeapLoad,
-		Time:      ev.Now,
-		Addr:      ev.Addr,
-		PC:        int(ev.PC),
-		Frame:     ev.Frame,
-		Slot:      int(ev.Slot),
-		Loop:      int(ev.Loop),
-		NumLocals: int(ev.NumLocals),
-	}, nil
+	return evs[0], nil
 }
 
-// Replay streams every remaining event into the listeners and returns
-// the trace summary. Each decoded block goes to every listener in turn:
-// in one ConsumeEvents call to a vmsim.BatchConsumer, one vmsim.Deliver
-// per event to any other. Each listener sees exactly the sequence the
-// recorded run produced; on a decode error it has seen every event
-// before the bad record.
-func (r *Reader) Replay(listeners ...vmsim.Listener) (Summary, error) {
+// Replay streams every remaining event into the consumers and returns
+// the trace summary. Each decoded block goes to every consumer in turn,
+// in one Consume call, so each sees exactly the sequence the recorded run
+// produced; on a decode error it has seen every event before the bad
+// record.
+func (r *Reader) Replay(consumers ...vmsim.Consumer) (Summary, error) {
 	for {
 		evs := r.pending()
 		r.next = len(r.blk)
-		for _, l := range listeners {
-			if bc, ok := l.(vmsim.BatchConsumer); ok {
-				bc.ConsumeEvents(evs)
-				continue
-			}
-			for i := range evs {
-				vmsim.Deliver(l, &evs[i])
-			}
+		for _, c := range consumers {
+			c.Consume(evs)
 		}
 		if r.err != nil {
 			return Summary{}, r.err

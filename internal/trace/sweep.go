@@ -122,7 +122,7 @@ func replayJobs(ctx context.Context, prog *tir.Program, want [32]byte, data []by
 		live := 0
 		for _, o := range jobs {
 			if o.Err == nil {
-				guard(o, func() { o.Tracer.ConsumeEvents(blk[:n]) })
+				guard(o, func() { o.Tracer.Consume(blk[:n]) })
 			}
 			if o.Err == nil {
 				live++

@@ -12,50 +12,27 @@ import (
 // eventLog records the replayed stream for comparison against what was
 // written.
 type eventLog struct {
-	events []Event
+	events []vmsim.Event
 }
 
-func (l *eventLog) HeapLoad(now int64, addr uint32, pc int) {
-	l.events = append(l.events, Event{Kind: KindHeapLoad, Time: now, Addr: addr, PC: pc})
-}
-func (l *eventLog) HeapStore(now int64, addr uint32, pc int) {
-	l.events = append(l.events, Event{Kind: KindHeapStore, Time: now, Addr: addr, PC: pc})
-}
-func (l *eventLog) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	l.events = append(l.events, Event{Kind: KindLocalLoad, Time: now, Frame: id.Frame, Slot: id.Slot, PC: pc})
-}
-func (l *eventLog) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	l.events = append(l.events, Event{Kind: KindLocalStore, Time: now, Frame: id.Frame, Slot: id.Slot, PC: pc})
-}
-func (l *eventLog) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	l.events = append(l.events, Event{Kind: KindLoopStart, Time: now, Loop: loop, NumLocals: numLocals, Frame: frame})
-}
-func (l *eventLog) LoopIter(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindLoopIter, Time: now, Loop: loop})
-}
-func (l *eventLog) LoopEnd(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindLoopEnd, Time: now, Loop: loop})
-}
-func (l *eventLog) ReadStats(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindReadStats, Time: now, Loop: loop})
-}
+func (l *eventLog) Consume(evs []vmsim.Event) { l.events = append(l.events, evs...) }
 
-// play drives a listener through a fixed synthetic event sequence that
-// exercises every record kind, both delta signs, and frame wraparound.
-func play(l vmsim.Listener) {
-	l.LoopStart(10, 0, 3, 0xffff_ffff_ffff_fff0)
-	l.HeapLoad(11, 0x1000, 4)
-	l.HeapStore(12, 0x0800, 9)     // negative address delta
-	l.HeapLoad(12, 0xffff_ffff, 2) // max address, negative pc delta
-	l.LocalLoad(13, vmsim.SlotID{Frame: 0xffff_ffff_ffff_fff0, Slot: 2}, 5)
-	l.LocalStore(14, vmsim.SlotID{Frame: 16, Slot: 0}, 6) // frame wraps forward past 0
-	l.LoopIter(20, 0)
-	l.LoopStart(21, 1, 0, 16)
-	l.LoopEnd(30, 1)
-	l.ReadStats(30, 1)
-	l.LoopIter(31, 0)
-	l.LoopEnd(40, 0)
-	l.ReadStats(40, 0)
+// played is a fixed synthetic event sequence that exercises every record
+// kind, both delta signs, and frame wraparound.
+var played = []vmsim.Event{
+	{Kind: vmsim.EvLoopStart, Now: 10, Loop: 0, NumLocals: 3, Frame: 0xffff_ffff_ffff_fff0},
+	{Kind: vmsim.EvHeapLoad, Now: 11, Addr: 0x1000, PC: 4},
+	{Kind: vmsim.EvHeapStore, Now: 12, Addr: 0x0800, PC: 9},     // negative address delta
+	{Kind: vmsim.EvHeapLoad, Now: 12, Addr: 0xffff_ffff, PC: 2}, // max address, negative pc delta
+	{Kind: vmsim.EvLocalLoad, Now: 13, Frame: 0xffff_ffff_ffff_fff0, Slot: 2, PC: 5},
+	{Kind: vmsim.EvLocalStore, Now: 14, Frame: 16, Slot: 0, PC: 6}, // frame wraps forward past 0
+	{Kind: vmsim.EvLoopIter, Now: 20, Loop: 0},
+	{Kind: vmsim.EvLoopStart, Now: 21, Loop: 1, NumLocals: 0, Frame: 16},
+	{Kind: vmsim.EvLoopEnd, Now: 30, Loop: 1},
+	{Kind: vmsim.EvReadStats, Now: 30, Loop: 1},
+	{Kind: vmsim.EvLoopIter, Now: 31, Loop: 0},
+	{Kind: vmsim.EvLoopEnd, Now: 40, Loop: 0},
+	{Kind: vmsim.EvReadStats, Now: 40, Loop: 0},
 }
 
 func record(t *testing.T, hash [32]byte) ([]byte, Summary) {
@@ -65,7 +42,7 @@ func record(t *testing.T, hash [32]byte) ([]byte, Summary) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	play(w)
+	w.Consume(played)
 	sum := Summary{
 		CleanCycles: 35, TracedCycles: 40,
 		HeapLoads: 2, HeapStores: 1, LocalAnnots: 2, LoopAnnots: 6,
@@ -90,7 +67,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("header = %+v", r.Header())
 	}
 	var got, want eventLog
-	play(&want)
+	want.Consume(played)
 	sum, err := r.Replay(&got)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +199,7 @@ func TestWriterErrorLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10000; i++ {
-		w.HeapLoad(int64(i), uint32(i), i)
+		w.Consume([]vmsim.Event{{Kind: vmsim.EvHeapLoad, Now: int64(i), Addr: uint32(i), PC: int32(i)}})
 	}
 	if err := w.Finish(Summary{}); err == nil {
 		t.Fatal("Finish succeeded despite write failure")

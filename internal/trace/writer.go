@@ -9,21 +9,21 @@ import (
 	"jrpm/internal/vmsim"
 )
 
-// Writer serializes a VM event stream. It is a vmsim.Listener: attach it
+// Writer serializes a VM event stream. It is a vmsim.Consumer: attach it
 // to the traced run alongside the live core.Tracer and both observe the
 // identical event sequence — which is what makes replay equivalent to
 // live profiling by construction rather than by testing alone.
 //
-// Listener methods cannot return errors, so the first I/O failure is
-// latched and every later record becomes a no-op; Finish (or Err)
-// surfaces it. A Writer is single-goroutine, like the VM that drives it.
+// Consume cannot return errors, so the first I/O failure is latched and
+// every later record becomes a no-op; Finish (or Err) surfaces it. A
+// Writer is single-goroutine, like the VM that drives it.
 type Writer struct {
 	bw  *bufio.Writer
 	err error
 
 	prevTime  int64
 	prevAddr  uint32
-	prevPC    int
+	prevPC    int32
 	prevFrame uint64
 
 	records  uint64
@@ -32,35 +32,27 @@ type Writer struct {
 	scratch [2 + 4*binary.MaxVarintLen64]byte
 }
 
-var (
-	_ vmsim.Listener      = (*Writer)(nil)
-	_ vmsim.BatchConsumer = (*Writer)(nil)
-)
+var _ vmsim.Consumer = (*Writer)(nil)
 
-// ConsumeEvents implements vmsim.BatchConsumer: the fast engine delivers
-// whole event batches with one interface dispatch, and the writer
-// serializes them in order. Record layouts are identical to per-event
-// delivery — batching changes dispatch, never bytes (FORMAT.md).
-func (w *Writer) ConsumeEvents(evs []vmsim.Event) {
+// Consume serializes a batch of events in order, one record each. The
+// bytes do not depend on how the stream is cut into batches (FORMAT.md).
+func (w *Writer) Consume(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]
+		// Record kinds 1-8 are the vmsim event kinds, in the same order.
+		kind := KindHeapLoad + Kind(ev.Kind)
 		switch ev.Kind {
-		case vmsim.EvHeapLoad:
-			w.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
-		case vmsim.EvHeapStore:
-			w.HeapStore(ev.Now, ev.Addr, int(ev.PC))
-		case vmsim.EvLocalLoad:
-			w.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-		case vmsim.EvLocalStore:
-			w.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+		case vmsim.EvHeapLoad, vmsim.EvHeapStore:
+			w.emit(kind, ev.Now, zigzag(int64(ev.Addr)-int64(w.prevAddr)), zigzag(int64(ev.PC)-int64(w.prevPC)))
+			w.prevAddr, w.prevPC = ev.Addr, ev.PC
+		case vmsim.EvLocalLoad, vmsim.EvLocalStore:
+			w.emit(kind, ev.Now, zigzag(int64(ev.Frame-w.prevFrame)), uint64(ev.Slot), zigzag(int64(ev.PC)-int64(w.prevPC)))
+			w.prevFrame, w.prevPC = ev.Frame, ev.PC
 		case vmsim.EvLoopStart:
-			w.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
-		case vmsim.EvLoopIter:
-			w.LoopIter(ev.Now, int(ev.Loop))
-		case vmsim.EvLoopEnd:
-			w.LoopEnd(ev.Now, int(ev.Loop))
-		case vmsim.EvReadStats:
-			w.ReadStats(ev.Now, int(ev.Loop))
+			w.emit(kind, ev.Now, uint64(ev.Loop), uint64(ev.NumLocals), zigzag(int64(ev.Frame-w.prevFrame)))
+			w.prevFrame = ev.Frame
+		case vmsim.EvLoopIter, vmsim.EvLoopEnd, vmsim.EvReadStats:
+			w.emit(kind, ev.Now, uint64(ev.Loop))
 		}
 	}
 }
@@ -139,49 +131,4 @@ func (w *Writer) emit(kind Kind, now int64, fields ...uint64) {
 		return
 	}
 	w.records++
-}
-
-// HeapLoad records an lw event.
-func (w *Writer) HeapLoad(now int64, addr uint32, pc int) {
-	w.emit(KindHeapLoad, now, zigzag(int64(addr)-int64(w.prevAddr)), zigzag(int64(pc-w.prevPC)))
-	w.prevAddr, w.prevPC = addr, pc
-}
-
-// HeapStore records an sw event.
-func (w *Writer) HeapStore(now int64, addr uint32, pc int) {
-	w.emit(KindHeapStore, now, zigzag(int64(addr)-int64(w.prevAddr)), zigzag(int64(pc-w.prevPC)))
-	w.prevAddr, w.prevPC = addr, pc
-}
-
-// LocalLoad records an lwl event.
-func (w *Writer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	w.emit(KindLocalLoad, now, zigzag(int64(id.Frame-w.prevFrame)), uint64(id.Slot), zigzag(int64(pc-w.prevPC)))
-	w.prevFrame, w.prevPC = id.Frame, pc
-}
-
-// LocalStore records an swl event.
-func (w *Writer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	w.emit(KindLocalStore, now, zigzag(int64(id.Frame-w.prevFrame)), uint64(id.Slot), zigzag(int64(pc-w.prevPC)))
-	w.prevFrame, w.prevPC = id.Frame, pc
-}
-
-// LoopStart records an sloop event.
-func (w *Writer) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	w.emit(KindLoopStart, now, uint64(loop), uint64(numLocals), zigzag(int64(frame-w.prevFrame)))
-	w.prevFrame = frame
-}
-
-// LoopIter records an eoi event.
-func (w *Writer) LoopIter(now int64, loop int) {
-	w.emit(KindLoopIter, now, uint64(loop))
-}
-
-// LoopEnd records an eloop event.
-func (w *Writer) LoopEnd(now int64, loop int) {
-	w.emit(KindLoopEnd, now, uint64(loop))
-}
-
-// ReadStats records a read-statistics event.
-func (w *Writer) ReadStats(now int64, loop int) {
-	w.emit(KindReadStats, now, uint64(loop))
 }

@@ -2,21 +2,19 @@ package vmsim
 
 // Devirtualized, batched event emission.
 //
-// The reference interpreter fans every trace event out through
-// `for _, l := range vm.Listeners { l.HeapLoad(...) }` — one interface
-// dispatch per listener per event, in the middle of the hot loop. The
-// fast engine instead appends events to a small fixed-capacity batch
-// through concrete (inlinable) *batchEmitter methods, and flushes the
-// batch at block-boundary-like points: when it fills, before call
-// boundaries are announced to CallListeners, and when a frame or the run
-// ends. Listeners that implement BatchConsumer receive one ConsumeEvents
-// call per batch — a single interface dispatch amortized over up to
-// batchCap events, with the per-event demultiplexing done by concrete
-// method calls inside the listener's own package. Listeners that only
-// implement Listener get the classic per-event fan-out at flush time.
+// The reference interpreter hands each event to every Consumer the moment
+// it happens — one interface dispatch per consumer per event, in the
+// middle of the hot loop. The fast engine instead appends events to a
+// small fixed-capacity batch through concrete (inlinable) *batchEmitter
+// methods, and flushes the batch when it fills, before call boundaries
+// are announced to CallListeners, and when the run ends. Each consumer
+// receives one Consume call per batch — a single interface dispatch
+// amortized over up to batchCap events, with the per-event
+// demultiplexing done by concrete method calls inside the consumer's own
+// package.
 //
 // Batching never reorders events: the buffer is drained in append order,
-// which is execution order, so every listener observes the exact sequence
+// which is execution order, so every consumer observes the exact sequence
 // the reference interpreter would have delivered — including the relative
 // order of events that share a cycle timestamp. internal/trace/FORMAT.md
 // depends on this.
@@ -24,22 +22,22 @@ package vmsim
 // EventKind discriminates the variants of Event.
 type EventKind uint8
 
-// Event kinds, one per Listener method.
+// Event kinds, one per traced instruction class (Table 4).
 const (
-	EvHeapLoad EventKind = iota
-	EvHeapStore
-	EvLocalLoad
-	EvLocalStore
-	EvLoopStart
-	EvLoopIter
-	EvLoopEnd
-	EvReadStats
+	EvHeapLoad   EventKind = iota // lw
+	EvHeapStore                   // sw
+	EvLocalLoad                   // lwl
+	EvLocalStore                  // swl
+	EvLoopStart                   // sloop
+	EvLoopIter                    // eoi
+	EvLoopEnd                     // eloop
+	EvReadStats                   // read-statistics
 )
 
-// Event is one trace event in a batch. Fields are used per kind exactly
-// as the corresponding Listener method's parameters: Addr for heap
-// events, Frame+Slot for local events, Loop (+NumLocals for LoopStart)
-// for loop events.
+// Event is one trace event. Every kind sets Now, its cycle timestamp;
+// the other fields are set per kind and zero otherwise: Addr and PC for
+// heap events, Frame, Slot and PC for local events, Loop for loop and
+// read-statistics events, plus NumLocals and Frame for loop starts.
 type Event struct {
 	Now       int64
 	Frame     uint64
@@ -51,96 +49,39 @@ type Event struct {
 	Kind      EventKind
 }
 
-// BatchConsumer is an optional extension of Listener: implementations
-// receive whole event batches through a single call instead of one
-// interface dispatch per event. The events arrive in execution order and
-// must be processed in order; Deliver demultiplexes an event to the
-// matching Listener method signature.
-type BatchConsumer interface {
-	ConsumeEvents(evs []Event)
-}
-
-// Deliver dispatches one event to the matching Listener method. It is
-// the canonical decoding of an Event and what the emitter uses for
-// listeners that do not implement BatchConsumer; BatchConsumer
-// implementations typically inline the same switch over their concrete
-// handlers.
-func Deliver(l Listener, ev *Event) {
-	switch ev.Kind {
-	case EvHeapLoad:
-		l.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
-	case EvHeapStore:
-		l.HeapStore(ev.Now, ev.Addr, int(ev.PC))
-	case EvLocalLoad:
-		l.LocalLoad(ev.Now, SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-	case EvLocalStore:
-		l.LocalStore(ev.Now, SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-	case EvLoopStart:
-		l.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
-	case EvLoopIter:
-		l.LoopIter(ev.Now, int(ev.Loop))
-	case EvLoopEnd:
-		l.LoopEnd(ev.Now, int(ev.Loop))
-	case EvReadStats:
-		l.ReadStats(ev.Now, int(ev.Loop))
-	}
-}
-
 // batchCap is the event batch capacity. Large enough to amortize the
 // per-batch interface dispatch, small enough to stay in L1.
 const batchCap = 256
-
-// sink is one listener with its dispatch strategy resolved once at Run
-// time instead of per event.
-type sink struct {
-	batch BatchConsumer // non-nil when the listener consumes batches
-	l     Listener      // per-event fallback
-}
 
 // batchEmitter buffers events for the fast engine. All methods are on
 // the concrete type, so calls from the interpreter loop are direct (and
 // the append paths inline); no interface dispatch happens until flush.
 type batchEmitter struct {
-	n     int
-	sinks []sink
-	buf   [batchCap]Event
+	n         int
+	consumers []Consumer
+	buf       [batchCap]Event
 }
 
-// newBatchEmitter resolves each listener's dispatch strategy. Returns
-// nil when there are no listeners, which is the emitter's "statically
-// off" state: the interpreter guards every emission site with a nil
-// check, so untraced runs pay one predictable branch and nothing else.
-func newBatchEmitter(listeners []Listener) *batchEmitter {
-	if len(listeners) == 0 {
+// newBatchEmitter returns nil when there are no consumers, which is the
+// emitter's "statically off" state: the interpreter guards every
+// emission site with a nil check, so untraced runs pay one predictable
+// branch and nothing else.
+func newBatchEmitter(consumers []Consumer) *batchEmitter {
+	if len(consumers) == 0 {
 		return nil
 	}
-	em := &batchEmitter{sinks: make([]sink, len(listeners))}
-	for i, l := range listeners {
-		s := sink{l: l}
-		if bc, ok := l.(BatchConsumer); ok {
-			s.batch = bc
-		}
-		em.sinks[i] = s
-	}
-	return em
+	return &batchEmitter{consumers: consumers}
 }
 
-// flush drains the batch to every sink in listener order. Each sink sees
+// flush drains the batch to every consumer in order. Each consumer sees
 // the events in append (= execution) order.
 func (em *batchEmitter) flush() {
 	if em.n == 0 {
 		return
 	}
 	evs := em.buf[:em.n]
-	for i := range em.sinks {
-		s := &em.sinks[i]
-		if s.batch != nil {
-			s.batch.ConsumeEvents(evs)
-			continue
-		}
-		for j := range evs {
-			Deliver(s.l, &evs[j])
-		}
+	for _, c := range em.consumers {
+		c.Consume(evs)
 	}
 	em.n = 0
 }

@@ -18,7 +18,7 @@ import (
 // whole workload suite, the example programs and a fuzz corpus.
 //
 // Event emission goes through the concrete *batchEmitter (emit.go): when
-// em is nil (no listeners) every emission site is a single predictable
+// em is nil (no consumers) every emission site is a single predictable
 // branch; when non-nil the appends are direct method calls — no
 // interface dispatch inside this loop.
 //
@@ -26,7 +26,7 @@ import (
 // duration of the loop so the compiler can keep them in registers; they
 // are written back through vm.sync on every exit path and around
 // recursive calls, so VM state is always consistent when anything
-// outside the loop (a callee frame, a listener, the caller) can see it.
+// outside the loop (a callee frame, a consumer, the caller) can see it.
 
 // dfault builds a RuntimeError identical to the reference engine's.
 func dfault(fn string, line int32, format string, args ...any) error {

@@ -2,11 +2,12 @@
 // original block-at-a-time interpreter that internal/vmsim used before
 // its hot path was rebuilt on a pre-decoded instruction stream. It is
 // deliberately simple — operands are decoded from tir.Instr on every
-// step and every trace event is fanned out through the Listener
-// interfaces immediately — and it is always compiled (no build tags), so
-// the differential harness (TestVMDifferential, FuzzVMDiff) can hold the
-// fast engine bit-identical to it: same cycle counts, same event stream,
-// same heap contents, same printed output, same counters, same errors.
+// step and every trace event is handed to each Consumer the moment it
+// happens, as a one-event batch — and it is always compiled (no build
+// tags), so the differential harness (TestVMDifferential, FuzzVMDiff)
+// can hold the fast engine bit-identical to it: same cycle counts, same
+// event stream, same heap contents, same printed output, same counters,
+// same errors.
 //
 // Semantic changes must land here first; the fast engine then has to
 // reproduce them exactly or the differential suite fails.
@@ -25,12 +26,12 @@ import (
 
 // VM is the reference sequential TIR interpreter. Its exported surface
 // mirrors vmsim.VM so harnesses can drive both engines with the same
-// code; listener, slot and error types are shared with vmsim.
+// code; event, consumer, slot and error types are shared with vmsim.
 type VM struct {
 	Prog      *tir.Program
 	Mem       []uint64 // one 64-bit value per 4-byte word slot
 	Cycles    int64
-	Listeners []vmsim.Listener
+	Consumers []vmsim.Consumer
 	Out       io.Writer
 	MaxSteps  int64 // 0 = default (2^40)
 
@@ -46,6 +47,7 @@ type VM struct {
 	steps       int64
 	callLsnrs   []vmsim.CallListener
 	interrupted atomic.Bool
+	ev          [1]vmsim.Event // the one-event batch handed to Consumers
 
 	// Instruction mix counters for reports.
 	NHeapLoads   int64
@@ -172,13 +174,22 @@ func (vm *VM) Run(name string) error {
 		vm.MaxSteps = 1 << 40
 	}
 	vm.callLsnrs = vm.callLsnrs[:0]
-	for _, l := range vm.Listeners {
-		if cl, ok := l.(vmsim.CallListener); ok {
+	for _, c := range vm.Consumers {
+		if cl, ok := c.(vmsim.CallListener); ok {
 			vm.callLsnrs = append(vm.callLsnrs, cl)
 		}
 	}
 	_, err := vm.call(fi, nil)
 	return err
+}
+
+// emit hands ev to every consumer as a one-event batch, reusing one
+// buffer so tracing allocates nothing per event.
+func (vm *VM) emit(ev vmsim.Event) {
+	vm.ev[0] = ev
+	for _, c := range vm.Consumers {
+		c.Consume(vm.ev[:])
+	}
 }
 
 func (vm *VM) fault(f *tir.Function, in *tir.Instr, format string, args ...any) error {
@@ -193,7 +204,7 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 	vm.frameSeq++
 	frame := vm.frameSeq
 
-	traced := len(vm.Listeners) > 0
+	traced := len(vm.Consumers) > 0
 	bi := 0
 	for {
 		b := &f.Blocks[bi]
@@ -308,9 +319,7 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				regs[in.Dst] = vm.Mem[w]
 				vm.NHeapLoads++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.HeapLoad(now, addr, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: int32(in.PC)})
 				}
 			case tir.OpStore:
 				addr := uint32(regs[in.A])
@@ -321,9 +330,7 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				vm.Mem[w] = regs[in.B]
 				vm.NHeapStores++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.HeapStore(now, addr, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: int32(in.PC)})
 				}
 			case tir.OpArrLen:
 				base := uint32(regs[in.A])
@@ -385,49 +392,37 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopStart(now, in.Loop, int(in.Imm), frame)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(in.Loop), NumLocals: int32(in.Imm), Frame: frame})
 				}
 			case tir.OpELoop:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopEnd(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(in.Loop)})
 				}
 			case tir.OpEOI:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopIter(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(in.Loop)})
 				}
 			case tir.OpLWL:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLocalAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LocalLoad(now, vmsim.SlotID{Frame: frame, Slot: in.Slot}, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLocalLoad, Now: now, Frame: frame, Slot: int32(in.Slot), PC: int32(in.PC)})
 				}
 			case tir.OpSWL:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLocalAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LocalStore(now, vmsim.SlotID{Frame: frame, Slot: in.Slot}, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLocalStore, Now: now, Frame: frame, Slot: int32(in.Slot), PC: int32(in.PC)})
 				}
 			case tir.OpReadStats:
 				vm.Cycles += vm.ReadStatsCost - 1
 				vm.NReadStats++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.ReadStats(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvReadStats, Now: now, Loop: int32(in.Loop)})
 				}
 			default:
 				return 0, vm.fault(f, in, "unknown opcode %d", uint8(in.Op))

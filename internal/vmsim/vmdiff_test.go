@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"jrpm/internal/core"
 	"jrpm/internal/hydra"
 	"jrpm/internal/lang"
+	"jrpm/internal/mcr"
 	"jrpm/internal/profile"
 	"jrpm/internal/tir"
 	"jrpm/internal/trace"
@@ -27,12 +29,17 @@ import (
 // same inputs, and every observable must match bit-for-bit:
 //
 //   - the trace event stream (kinds, cycle timestamps, payloads, order),
-//     captured through a plain Listener so the fast engine's per-event
-//     fan-out path is exercised;
-//   - the serialized trace bytes from an attached trace.Writer, which is
-//     both a digest of the event stream and coverage of the batched
-//     BatchConsumer path (the encoded header also pins the TraceHash the
-//     recording is bound to);
+//     captured whole by a recorder that appends every batch it consumes
+//     and compared with reflect.DeepEqual, which holds the reference
+//     engine's per-kind field filling to the batch emitter's;
+//   - the call boundaries, each with its position in the event stream,
+//     and the per-call-site statistics of an attached mcr.Analyzer, the
+//     one production CallListener: both depend on every event emitted
+//     before a call boundary being consumed before the boundary is
+//     announced, the emitter's flush-before-CallEnter/CallExit rule;
+//   - the serialized trace bytes from an attached trace.Writer, a digest
+//     of the event stream (the encoded header also pins the TraceHash
+//     the recording is bound to);
 //   - cycle counts, printed output, final heap contents, instruction-mix
 //     counters;
 //   - errors, compared as strings (faults must agree in message,
@@ -49,42 +56,30 @@ import (
 // enforced identically by both engines.
 const diffMaxSteps = 400000
 
-// recorder captures the event stream through the plain Listener
-// interface (it deliberately does not implement BatchConsumer).
+// recorder captures the event stream, batch by batch, and where in it
+// each call boundary was announced.
 type recorder struct {
-	evs []vmsim.Event
+	evs   []vmsim.Event
+	calls []callMark
 }
 
-func (r *recorder) HeapLoad(now int64, addr uint32, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: int32(pc)})
+// callMark is one announced call boundary.
+type callMark struct {
+	at     int // events consumed before the announcement
+	exit   bool
+	now    int64
+	fn, pc int
+	frame  uint64
 }
 
-func (r *recorder) HeapStore(now int64, addr uint32, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: int32(pc)})
+func (r *recorder) Consume(evs []vmsim.Event) { r.evs = append(r.evs, evs...) }
+
+func (r *recorder) CallEnter(now int64, fn, pc int, frame uint64) {
+	r.calls = append(r.calls, callMark{len(r.evs), false, now, fn, pc, frame})
 }
 
-func (r *recorder) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLocalLoad, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)})
-}
-
-func (r *recorder) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLocalStore, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)})
-}
-
-func (r *recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(loop), NumLocals: int32(numLocals), Frame: frame})
-}
-
-func (r *recorder) LoopIter(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(loop)})
-}
-
-func (r *recorder) LoopEnd(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(loop)})
-}
-
-func (r *recorder) ReadStats(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvReadStats, Now: now, Loop: int32(loop)})
+func (r *recorder) CallExit(now int64, fn, pc int, frame uint64) {
+	r.calls = append(r.calls, callMark{len(r.evs), true, now, fn, pc, frame})
 }
 
 // engineResult is everything observable about one run of one engine.
@@ -95,6 +90,8 @@ type engineResult struct {
 	mem      []uint64
 	counters [7]int64
 	events   []vmsim.Event
+	calls    []callMark
+	sites    map[int]*mcr.SiteStats
 	traceB   []byte
 	selected []int
 }
@@ -148,7 +145,7 @@ func autoInput(prog *tir.Program) diffInput {
 // runCfg selects what to attach to a run.
 type runCfg struct {
 	maxSteps    int64
-	record      bool // attach the plain-listener recorder
+	record      bool // attach the event recorder and the mcr analyzer
 	analyze     bool // attach core.Tracer + trace.Writer, run selection
 	native      bool // install the closure-threaded native tier on every loop
 	cleanCycles int64
@@ -169,14 +166,16 @@ func runFast(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRe
 	hcfg := hydra.DefaultConfig()
 	var tracer *core.Tracer
 	var rec recorder
+	var an *mcr.Analyzer
 	var traceBuf bytes.Buffer
 	var tw *trace.Writer
 	if cfg.analyze {
 		tracer = core.NewTracer(prog, hcfg, core.DefaultOptions())
-		vm.Listeners = append(vm.Listeners, tracer)
+		vm.Consumers = append(vm.Consumers, tracer)
 	}
 	if cfg.record {
-		vm.Listeners = append(vm.Listeners, &rec)
+		an = mcr.New(prog)
+		vm.Consumers = append(vm.Consumers, &rec, an)
 	}
 	if cfg.analyze {
 		var err error
@@ -184,7 +183,7 @@ func runFast(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRe
 		if err != nil {
 			t.Fatal(err)
 		}
-		vm.Listeners = append(vm.Listeners, tw)
+		vm.Consumers = append(vm.Consumers, tw)
 	}
 
 	bindInput(t, vm.BindGlobalInts, vm.BindGlobalFloats, in)
@@ -197,9 +196,14 @@ func runFast(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRe
 		counters: [7]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
 			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats},
 		events: rec.evs,
+		calls:  rec.calls,
 	}
 	if runErr != nil {
 		res.errStr = runErr.Error()
+	}
+	if an != nil {
+		an.Finish(vm.Cycles)
+		res.sites = an.Sites()
 	}
 	if cfg.analyze {
 		res.traceB = finishTrace(t, tw, &traceBuf, runErr == nil, res)
@@ -222,14 +226,16 @@ func runRef(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRes
 	hcfg := hydra.DefaultConfig()
 	var tracer *core.Tracer
 	var rec recorder
+	var an *mcr.Analyzer
 	var traceBuf bytes.Buffer
 	var tw *trace.Writer
 	if cfg.analyze {
 		tracer = core.NewTracer(prog, hcfg, core.DefaultOptions())
-		vm.Listeners = append(vm.Listeners, tracer)
+		vm.Consumers = append(vm.Consumers, tracer)
 	}
 	if cfg.record {
-		vm.Listeners = append(vm.Listeners, &rec)
+		an = mcr.New(prog)
+		vm.Consumers = append(vm.Consumers, &rec, an)
 	}
 	if cfg.analyze {
 		var err error
@@ -237,7 +243,7 @@ func runRef(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRes
 		if err != nil {
 			t.Fatal(err)
 		}
-		vm.Listeners = append(vm.Listeners, tw)
+		vm.Consumers = append(vm.Consumers, tw)
 	}
 
 	bindInput(t, vm.BindGlobalInts, vm.BindGlobalFloats, in)
@@ -250,9 +256,14 @@ func runRef(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRes
 		counters: [7]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
 			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats},
 		events: rec.evs,
+		calls:  rec.calls,
 	}
 	if runErr != nil {
 		res.errStr = runErr.Error()
+	}
+	if an != nil {
+		an.Finish(vm.Cycles)
+		res.sites = an.Sites()
 	}
 	if cfg.analyze {
 		res.traceB = finishTrace(t, tw, &traceBuf, runErr == nil, res)
@@ -317,15 +328,18 @@ func compareResults(t *testing.T, label string, fast, ref engineResult) {
 	if fast.counters != ref.counters {
 		t.Errorf("%s: counters: fast %v, ref %v", label, fast.counters, ref.counters)
 	}
-	if len(fast.events) != len(ref.events) {
-		t.Errorf("%s: event count: fast %d, ref %d", label, len(fast.events), len(ref.events))
-	} else {
-		for i := range fast.events {
-			if fast.events[i] != ref.events[i] {
-				t.Errorf("%s: event %d diverges:\n  fast: %+v\n  ref:  %+v", label, i, fast.events[i], ref.events[i])
-				break
-			}
+	if !reflect.DeepEqual(fast.events, ref.events) {
+		i := 0
+		for i < min(len(fast.events), len(ref.events)) && fast.events[i] == ref.events[i] {
+			i++
 		}
+		t.Errorf("%s: event streams diverge at event %d (fast %d events, ref %d)", label, i, len(fast.events), len(ref.events))
+	}
+	if !reflect.DeepEqual(fast.calls, ref.calls) {
+		t.Errorf("%s: call boundaries differ (fast %d, ref %d)", label, len(fast.calls), len(ref.calls))
+	}
+	if !reflect.DeepEqual(fast.sites, ref.sites) {
+		t.Errorf("%s: mcr call-site statistics differ (fast %d sites, ref %d)", label, len(fast.sites), len(ref.sites))
 	}
 	if !bytes.Equal(fast.traceB, ref.traceB) {
 		t.Errorf("%s: serialized trace bytes differ (fast %d bytes, ref %d bytes)", label, len(fast.traceB), len(ref.traceB))
@@ -356,8 +370,8 @@ func compilePair(src string) (clean, ann *tir.Program, err error) {
 }
 
 // diffPrograms runs the full three-way differential comparison for one
-// source program: clean untraced, annotated with the plain-listener
-// recorder, and annotated with the full tracer + writer + selection
+// source program: clean untraced, annotated with the event recorder and
+// mcr analyzer, and annotated with the full tracer + writer + selection
 // stack. Each configuration runs on the reference oracle, the predecoded
 // engine, and the predecoded engine with the closure-threaded native
 // tier installed on every loop; the oracle is the pivot for both

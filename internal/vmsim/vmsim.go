@@ -38,21 +38,19 @@ type SlotID struct {
 	Slot  int
 }
 
-// Listener receives trace events with their cycle timestamps.
-type Listener interface {
-	HeapLoad(now int64, addr uint32, pc int)
-	HeapStore(now int64, addr uint32, pc int)
-	LocalLoad(now int64, id SlotID, pc int)
-	LocalStore(now int64, id SlotID, pc int)
-	LoopStart(now int64, loop int, numLocals int, frame uint64)
-	LoopIter(now int64, loop int)
-	LoopEnd(now int64, loop int)
-	ReadStats(now int64, loop int)
+// Consumer receives the trace event stream: heap loads and stores, the
+// annotation events (lwl/swl, sloop/eoi/eloop, read-statistics) and
+// their cycle timestamps. Events arrive in execution order, in batches
+// of one or more; evs is valid only for the duration of the call.
+type Consumer interface {
+	Consume(evs []Event)
 }
 
-// CallListener is an optional extension of Listener: implementations also
+// CallListener is an optional extension of Consumer: implementations also
 // receive function call boundaries, which the method-call-return analysis
-// (internal/mcr) consumes. pc identifies the call instruction.
+// (internal/mcr) consumes. pc identifies the call instruction. Every
+// event emitted before a call boundary is consumed before it is
+// announced.
 type CallListener interface {
 	CallEnter(now int64, fn int, pc int, frame uint64)
 	CallExit(now int64, fn int, pc int, frame uint64)
@@ -90,7 +88,7 @@ type VM struct {
 	Prog      *tir.Program
 	Mem       []uint64 // one 64-bit value per 4-byte word slot
 	Cycles    int64
-	Listeners []Listener
+	Consumers []Consumer
 	Out       io.Writer
 	MaxSteps  int64 // 0 = default (2^40)
 
@@ -266,8 +264,8 @@ func (vm *VM) Run(name string) error {
 		vm.MaxSteps = 1 << 40
 	}
 	vm.callLsnrs = vm.callLsnrs[:0]
-	for _, l := range vm.Listeners {
-		if cl, ok := l.(CallListener); ok {
+	for _, c := range vm.Consumers {
+		if cl, ok := c.(CallListener); ok {
 			vm.callLsnrs = append(vm.callLsnrs, cl)
 		}
 	}
@@ -277,7 +275,7 @@ func (vm *VM) Run(name string) error {
 		// arrays map.
 		vm.nativeGlobLen = buildGlobLen(vm.globals, vm.arrays, vm.nativeGlobLen)
 	}
-	em := newBatchEmitter(vm.Listeners)
+	em := newBatchEmitter(vm.Consumers)
 	_, err := vm.exec(vm.code, fi, nil, em)
 	// Drain pending events even on error: the reference engine delivers
 	// every event produced before the fault, so the fast engine must too.

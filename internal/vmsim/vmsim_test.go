@@ -193,21 +193,17 @@ type eventLog struct {
 	times  []int64
 }
 
-func (l *eventLog) HeapLoad(now int64, addr uint32, pc int)  { l.add("L", now) }
-func (l *eventLog) HeapStore(now int64, addr uint32, pc int) { l.add("S", now) }
-func (l *eventLog) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	l.add("ll", now)
+// eventNames abbreviates each event kind.
+var eventNames = [...]string{
+	vmsim.EvHeapLoad: "L", vmsim.EvHeapStore: "S", vmsim.EvLocalLoad: "ll", vmsim.EvLocalStore: "ls",
+	vmsim.EvLoopStart: "sloop", vmsim.EvLoopIter: "eoi", vmsim.EvLoopEnd: "eloop", vmsim.EvReadStats: "read",
 }
-func (l *eventLog) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	l.add("ls", now)
-}
-func (l *eventLog) LoopStart(now int64, loop, numLocals int, frame uint64) { l.add("sloop", now) }
-func (l *eventLog) LoopIter(now int64, loop int)                           { l.add("eoi", now) }
-func (l *eventLog) LoopEnd(now int64, loop int)                            { l.add("eloop", now) }
-func (l *eventLog) ReadStats(now int64, loop int)                          { l.add("read", now) }
-func (l *eventLog) add(k string, t int64) {
-	l.events = append(l.events, k)
-	l.times = append(l.times, t)
+
+func (l *eventLog) Consume(evs []vmsim.Event) {
+	for _, ev := range evs {
+		l.events = append(l.events, eventNames[ev.Kind])
+		l.times = append(l.times, ev.Now)
+	}
 }
 
 // TestEventStreamOrdering: timestamps are monotone and loop events nest.
@@ -230,7 +226,7 @@ func main() {
 	}
 	vm := vmsim.New(prog)
 	log := &eventLog{}
-	vm.Listeners = append(vm.Listeners, log)
+	vm.Consumers = append(vm.Consumers, log)
 	if err := vm.BindGlobalInts("a", make([]int64, 8)); err != nil {
 		t.Fatal(err)
 	}

@@ -327,11 +327,11 @@ func (c *Compiled) Profile(ctx context.Context, in Input, opts Options) (*Profil
 	return c.profileWith(ctx, in, opts)
 }
 
-// profileWith is Profile with extra listeners attached to the traced run
+// profileWith is Profile with extra consumers attached to the traced run
 // after the TEST tracer. ProfileRecord passes the trace writer here, so
 // the recorded event stream is — by construction — the exact sequence the
 // live comparator-bank model consumed.
-func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extra ...vmsim.Listener) (*ProfileResult, error) {
+func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extra ...vmsim.Consumer) (*ProfileResult, error) {
 	opts = Normalize(opts)
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
@@ -351,8 +351,8 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 		}
 	}
 	tracer := core.NewTracer(c.Annotated, opts.Cfg, opts.Tracer)
-	vm.Listeners = append(vm.Listeners, tracer)
-	vm.Listeners = append(vm.Listeners, extra...)
+	vm.Consumers = append(vm.Consumers, tracer)
+	vm.Consumers = append(vm.Consumers, extra...)
 	var sampler *vmsim.Sampler
 	if opts.SamplePeriod > 0 {
 		sampler = vmsim.NewSampler(opts.SamplePeriod)

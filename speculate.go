@@ -59,7 +59,7 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 	if err != nil {
 		return nil, err
 	}
-	vm.Listeners = append(vm.Listeners, rec)
+	vm.Consumers = append(vm.Consumers, rec)
 	if err := runVM(ctx, vm); err != nil {
 		return nil, err
 	}

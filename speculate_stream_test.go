@@ -8,7 +8,6 @@ import (
 	"jrpm"
 	"jrpm/internal/jit"
 	"jrpm/internal/tls"
-	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
 )
 
@@ -16,9 +15,7 @@ import (
 // iteration as the run closes it, must report exactly what tls.Simulate
 // reports over the entries a keep-entries Recorder captures from its own
 // run — for every workload, with the Equation 2 set and with each single
-// loop jit.Build accepts. The keep-entries Recorder must capture the same
-// entries whether the VM hands it event batches or, through a wrapper that
-// hides ConsumeEvents, one vmsim.Deliver call per event.
+// loop jit.Build accepts.
 func TestSpeculateStreamMatchesRecorded(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -36,13 +33,9 @@ func TestSpeculateStreamMatchesRecorded(t *testing.T) {
 					sets = append(sets, []int{id})
 				}
 			}
-			record := func(sel []int, perEvent bool) []*tls.Entry {
+			record := func(sel []int) []*tls.Entry {
 				rec := tls.NewRecorder(pr.Annotated, sel)
-				var l vmsim.Listener = rec
-				if perEvent {
-					l = struct{ vmsim.Listener }{rec}
-				}
-				if err := jrpm.RunListener(context.Background(), in, pr, l); err != nil {
+				if err := jrpm.RunConsumer(context.Background(), in, pr, rec); err != nil {
 					t.Fatal(err)
 				}
 				return rec.Entries
@@ -52,12 +45,8 @@ func TestSpeculateStreamMatchesRecorded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("loops %v: %v", sel, err)
 				}
-				batched := record(sel, false)
-				if want := tls.Simulate(batched, cfg); !reflect.DeepEqual(res.Loops, want) {
+				if want := tls.Simulate(record(sel), cfg); !reflect.DeepEqual(res.Loops, want) {
 					t.Errorf("loops %v: streamed results differ from Simulate over the recorded entries", sel)
-				}
-				if perEvent := record(sel, true); !reflect.DeepEqual(batched, perEvent) {
-					t.Errorf("loops %v: batched and per-event recorders captured different entries", sel)
 				}
 			}
 		})

@@ -23,7 +23,7 @@ func (c *Compiled) TraceHash() [32]byte {
 // ProfileRecord is Profile plus persistent capture: the traced run's
 // event stream is serialized to w as it is produced. The returned
 // ProfileResult is bit-identical to what Profile would return — the
-// trace writer is a passive extra listener on the same run — and the
+// trace writer is a passive extra consumer on the same run — and the
 // recorded trace replays into the same result via ReplayProfile.
 func (c *Compiled) ProfileRecord(ctx context.Context, in Input, opts Options, w io.Writer) (*ProfileResult, error) {
 	tw, err := trace.NewWriter(w, c.TraceHash())

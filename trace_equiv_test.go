@@ -44,7 +44,7 @@ func TestReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The writer is a passive extra listener: recording must not
+			// The writer is a passive extra consumer: recording must not
 			// perturb the profile itself.
 			assertSameProfile(t, "record vs live", rec, live)
 
