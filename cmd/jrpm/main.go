@@ -548,7 +548,7 @@ func sweepMain(args []string) {
 	banksList := fs.String("banks", "", "comma-separated comparator bank counts to sweep")
 	histList := fs.String("history", "", "comma-separated heap-store history depths to sweep")
 	workerList := fs.String("workers", "", "comma-separated jrpmd worker addresses (empty = run locally)")
-	registryAddr := fs.String("registry", "", "fleet registry address: schedule over its live members (workers may join or die mid-sweep) instead of a static -workers list")
+	registryAddr := fs.String("registry", "", "fleet registry address: schedule over its live members, which may join or leave mid-sweep, instead of the fixed -workers list")
 	replicas := fs.Int("replicas", 1, "recording replicas placed across the fleet (worker-to-worker transfer)")
 	progress := fs.Bool("progress", false, "print per-row progress to stderr as shards land (default with -registry)")
 	shard := fs.Int("shard", 0, "configs per shard (0 = default)")
@@ -609,13 +609,12 @@ func sweepMain(args []string) {
 		fatal(fmt.Errorf("sweep: %w", err))
 	}
 	copts := cluster.Options{
-		Workers:      addrs,
+		Membership:   fleet.Static(addrs),
 		Replicas:     *replicas,
 		ShardConfigs: *shard,
 		Logger:       telemetry.NewLogger(os.Stderr, level),
 	}
 	if *registryAddr != "" {
-		copts.Workers = nil
 		copts.Membership = fleet.NewRegistryMembership(*registryAddr)
 	}
 	coord := cluster.New(copts)

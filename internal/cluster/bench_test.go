@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/hydra"
 )
 
@@ -48,7 +49,7 @@ func BenchmarkClusterSweep(b *testing.B) {
 				addrs[i], workers[i] = srv.URL, w
 			}
 			coord := New(Options{
-				Workers:      addrs,
+				Membership:   fleet.Static(addrs),
 				ShardConfigs: 4,
 				Sentinels:    -1, // measure raw sharding, not the verification tax
 				HedgeAfter:   -1,

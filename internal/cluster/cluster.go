@@ -14,13 +14,14 @@
 // dead worker, straggler shards are hedged onto a second worker, idle
 // workers steal queued shards from busy ones, and when no worker is
 // reachable at all the whole grid degrades gracefully to local
-// execution. The worker set itself may be dynamic: with a
-// fleet.Membership the scheduler re-snapshots the fleet during the
-// sweep, admitting workers that join mid-flight and stealing back the
-// shards of workers that die, while recordings replicate worker-to-
-// worker by rendezvous placement so the coordinator is not the
-// bandwidth bottleneck. See DESIGN.md "Distributed trace-replay
-// sweeps" and "Fleet".
+// execution. The worker set is always a fleet.Membership — fleet.Static
+// for a fixed list, a registry for a living fleet — and the scheduler
+// re-snapshots it during the sweep, admitting workers that join (or
+// become ready) mid-flight and stealing back the shards of workers that
+// leave, while recordings replicate worker-to-worker by rendezvous
+// placement so the coordinator is not the bandwidth bottleneck. An
+// empty membership runs the grid locally. See DESIGN.md "Distributed
+// trace-replay sweeps" and "Fleet".
 package cluster
 
 import (
@@ -33,8 +34,9 @@ import (
 	"jrpm/internal/profile"
 )
 
-// ErrNoWorkers is wrapped by Sweep when every configured worker was
-// excluded (unreachable or refused) and local fallback is disabled.
+// ErrNoWorkers is wrapped by Sweep when local fallback is disabled and
+// the sweep has no worker to start on: the membership is empty or
+// unavailable, or none of its members is reachable and ready.
 var ErrNoWorkers = errors.New("cluster: no usable workers")
 
 // ErrDeterminism is wrapped by Sweep when a sentinel shard re-executed
@@ -100,8 +102,9 @@ type ShardResponse struct {
 // row is exactly what EncodeOutcome(trace.Sweep(...)) yields locally.
 type Result struct {
 	Outcomes [][]OutcomeRow
-	// Degraded reports that no worker was reachable and the whole grid
-	// ran locally.
+	// Degraded reports that the membership named workers (or could not
+	// be read) but none was reachable and ready, so the whole grid ran
+	// locally. An empty membership runs locally without it.
 	Degraded bool
 	Metrics  Snapshot
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/workloads"
@@ -173,7 +174,7 @@ func TestClusterEquivalence(t *testing.T) {
 				s1, _ := newTestWorker(t, nil)
 				s2, _ := newTestWorker(t, nil)
 				coord := New(Options{
-					Workers:      []string{s1.URL, s2.URL},
+					Membership:   fleet.Static{s1.URL, s2.URL},
 					ShardConfigs: 2,
 					HedgeAfter:   -1,
 					Seed:         7,
@@ -203,7 +204,7 @@ func TestClusterEquivalence(t *testing.T) {
 				dying, _ := newTestWorker(t, kill.wrap)
 				healthy, _ := newTestWorker(t, shardGate(kill.dead))
 				coord := New(Options{
-					Workers:          []string{dying.URL, healthy.URL},
+					Membership:       fleet.Static{dying.URL, healthy.URL},
 					ShardConfigs:     2,
 					MaxAttempts:      4,
 					RetryBase:        time.Millisecond,
@@ -273,7 +274,7 @@ func TestClusterSentinelMismatch(t *testing.T) {
 	good, _ := newTestWorker(t, nil)
 	evil, _ := newTestWorker(t, tamperShards())
 	coord := New(Options{
-		Workers:      []string{good.URL, evil.URL},
+		Membership:   fleet.Static{good.URL, evil.URL},
 		ShardConfigs: 2,
 		HedgeAfter:   -1,
 		Seed:         3,
@@ -300,7 +301,7 @@ func TestClusterVersionRefusal(t *testing.T) {
 	defer alien.Close()
 
 	src, data := recordWorkload(t, "Huffman")
-	coord := New(Options{Workers: []string{healthy.URL, alien.URL}})
+	coord := New(Options{Membership: fleet.Static{healthy.URL, alien.URL}})
 	_, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
 		Configs: gridConfigs(2),
@@ -328,7 +329,7 @@ func TestClusterLocalDegradation(t *testing.T) {
 	addr := dead.URL
 	dead.Close()
 
-	coord := New(Options{Workers: []string{addr}, PingTimeout: 500 * time.Millisecond})
+	coord := New(Options{Membership: fleet.Static{addr}, PingTimeout: 500 * time.Millisecond})
 	res, err := coord.Sweep(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
@@ -340,9 +341,107 @@ func TestClusterLocalDegradation(t *testing.T) {
 		t.Error("degraded local sweep differs from trace.Sweep")
 	}
 
-	strict := New(Options{Workers: []string{addr}, PingTimeout: 500 * time.Millisecond, DisableLocalFallback: true})
+	strict := New(Options{Membership: fleet.Static{addr}, PingTimeout: 500 * time.Millisecond, DisableLocalFallback: true})
 	if _, err := strict.Sweep(context.Background(), grid); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestClusterEmptyMembership: a coordinator with no membership sweeps
+// locally — plain execution, not a degradation — and byte-identical to
+// trace.Sweep; with the fallback disabled it fails with ErrNoWorkers.
+func TestClusterEmptyMembership(t *testing.T) {
+	src, data := recordWorkload(t, "Huffman")
+	cfgs := gridConfigs(4)
+	grid := Grid{
+		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
+		Configs: cfgs,
+		Opts:    jrpm.DefaultOptions(),
+	}
+	res, err := New(Options{}).Sweep(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Error("empty membership reported Degraded")
+	}
+	if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, canonical(t, localRows(t, src, data, cfgs))) {
+		t.Error("empty-membership sweep differs from local trace.Sweep")
+	}
+	if _, err := New(Options{DisableLocalFallback: true}).Sweep(context.Background(), grid); !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestClusterLateStaticAdmission: a fleet.Static worker that is not
+// ready at sweep start is re-probed and admitted once ready. The late
+// worker answers /v1/readyz with 503 until the early worker receives its
+// first shard; the early worker then holds its next shards until the
+// late one has received a shard, so the sweep cannot finish without the
+// mid-sweep admission.
+func TestClusterLateStaticAdmission(t *testing.T) {
+	src, data := recordWorkload(t, "Huffman")
+	cfgs := gridConfigs(8)
+
+	var lateReady atomic.Bool
+	lateFirst := make(chan struct{})
+	var lateOnce sync.Once
+	late, _ := newTestWorker(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/readyz" && !lateReady.Load() {
+				http.Error(w, `{"error":"not ready"}`, http.StatusServiceUnavailable)
+				return
+			}
+			if isShardPost(r) {
+				lateOnce.Do(func() { close(lateFirst) })
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	var earlyPosts atomic.Int32
+	early, _ := newTestWorker(t, func(next http.Handler) http.Handler {
+		gated := shardGate(lateFirst)(next)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isShardPost(r) && earlyPosts.Add(1) == 1 {
+				lateReady.Store(true)
+				next.ServeHTTP(w, r)
+				return
+			}
+			gated.ServeHTTP(w, r)
+		})
+	})
+
+	coord := New(Options{
+		Membership:         fleet.Static{early.URL, late.URL},
+		MembershipInterval: 5 * time.Millisecond,
+		ShardConfigs:       2,
+		HedgeAfter:         -1,
+	})
+	res, err := coord.Sweep(context.Background(), Grid{
+		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
+		Configs: cfgs,
+		Opts:    jrpm.DefaultOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Error("sweep with a ready worker reported Degraded")
+	}
+	if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, canonical(t, localRows(t, src, data, cfgs))) {
+		t.Error("sweep with a late-admitted worker differs from local trace.Sweep")
+	}
+	if res.Metrics.MemberJoins < 1 {
+		t.Errorf("member joins = %d, want >= 1 (the late worker was admitted mid-sweep)", res.Metrics.MemberJoins)
+	}
+	var lateDispatched int64
+	for _, ws := range res.Metrics.Workers {
+		if ws.Worker == late.URL {
+			lateDispatched = ws.Dispatched
+		}
+	}
+	if lateDispatched < 1 {
+		t.Errorf("late worker received %d dispatches, want >= 1", lateDispatched)
 	}
 }
 
@@ -353,7 +452,7 @@ func TestClusterStealing(t *testing.T) {
 	s1, _ := newTestWorker(t, nil)
 	s2, _ := newTestWorker(t, nil)
 	coord := New(Options{
-		Workers:      []string{s1.URL, s2.URL},
+		Membership:   fleet.Static{s1.URL, s2.URL},
 		ShardConfigs: 1,
 		Sentinels:    -1,
 		HedgeAfter:   -1,
@@ -404,7 +503,7 @@ func TestClusterHedging(t *testing.T) {
 	slow, _ := newTestWorker(t, slowShards(2*time.Second))
 	fast, _ := newTestWorker(t, nil)
 	coord := New(Options{
-		Workers:         []string{slow.URL, fast.URL}, // affinity: trace 0 -> slow worker
+		Membership:      fleet.Static{slow.URL, fast.URL}, // affinity: trace 0 -> slow worker
 		ShardConfigs:    4,
 		Sentinels:       -1,
 		HedgeAfter:      30 * time.Millisecond,
@@ -454,7 +553,7 @@ func TestClusterBreaker(t *testing.T) {
 	broken, _ := newTestWorker(t, failShards())
 	healthy, _ := newTestWorker(t, nil)
 	coord := New(Options{
-		Workers:          []string{broken.URL, healthy.URL},
+		Membership:       fleet.Static{broken.URL, healthy.URL},
 		ShardConfigs:     1,
 		Sentinels:        -1,
 		HedgeAfter:       -1,
@@ -488,7 +587,7 @@ func TestClusterMultiTraceTransfers(t *testing.T) {
 	s1, w1 := newTestWorker(t, nil)
 	s2, w2 := newTestWorker(t, nil)
 	coord := New(Options{
-		Workers:      []string{s1.URL, s2.URL},
+		Membership:   fleet.Static{s1.URL, s2.URL},
 		ShardConfigs: 2,
 		Sentinels:    -1,
 		HedgeAfter:   -1,

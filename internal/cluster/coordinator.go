@@ -23,17 +23,14 @@ import (
 // replaced by a sane default; fields documented as "< 0 disables" use
 // the negative range as the explicit off switch.
 type Options struct {
-	// Workers lists jrpmd worker addresses (host:port or full URLs).
-	// Empty means every sweep runs locally. Ignored when Membership is
-	// set.
-	Workers []string
-	// Membership supplies the worker set dynamically (a fleet
-	// registry). When set it replaces Workers and the scheduler
-	// re-snapshots it for the whole duration of a sweep: workers that
-	// join mid-sweep are admitted and pick up shards, workers that
-	// disappear are retired and their shards stolen back.
+	// Membership supplies the worker set: fleet.Static for a fixed
+	// address list, a fleet registry for a living fleet. The scheduler
+	// re-snapshots it for the whole duration of a sweep: members that
+	// appear or become ready mid-sweep are admitted and pick up shards,
+	// members that disappear are retired and their shards stolen back.
+	// Nil is an empty fleet: every sweep runs locally.
 	Membership fleet.Membership
-	// MembershipInterval is the fleet re-snapshot (and replica
+	// MembershipInterval is the membership re-snapshot (and replica
 	// reconcile) period; <= 0 means 250ms.
 	MembershipInterval time.Duration
 	// Replicas is the desired number of fleet members holding each
@@ -80,6 +77,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Membership == nil {
+		o.Membership = fleet.Static(nil)
+	}
 	if o.MembershipInterval <= 0 {
 		o.MembershipInterval = 250 * time.Millisecond
 	}
@@ -131,9 +131,7 @@ func (o Options) withDefaults() Options {
 // run many grids against the same fleet and ship each recording to each
 // worker at most once.
 type Coordinator struct {
-	opts       Options
-	membership fleet.Membership
-	dynamic    bool
+	opts Options
 
 	clientMu sync.Mutex
 	clients  map[string]*workerClient // by member ID, persistent across sweeps
@@ -142,22 +140,14 @@ type Coordinator struct {
 	rng   *rand.Rand
 }
 
-// New builds a coordinator for a worker fleet: dynamic when
-// opts.Membership is set, otherwise the static opts.Workers list.
+// New builds a coordinator that schedules over opts.Membership.
 func New(opts Options) *Coordinator {
 	opts = opts.withDefaults()
-	c := &Coordinator{
+	return &Coordinator{
 		opts:    opts,
 		clients: map[string]*workerClient{},
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 	}
-	if opts.Membership != nil {
-		c.membership = opts.Membership
-		c.dynamic = true
-	} else {
-		c.membership = fleet.Static(opts.Workers)
-	}
-	return c
 }
 
 // client resolves (and caches) the HTTP client for a fleet member. A
@@ -205,54 +195,6 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 		d = c.opts.RetryMax
 	}
 	return c.jitter(d)
-}
-
-// preflight version- and readiness-checks every member. Unreachable or
-// draining workers are excluded (they may come back; the breaker would
-// exclude them anyway); reachable workers with a different trace-format
-// version are refusals — mixing formats corrupts results, so they are
-// reported as hard errors.
-func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (healthy []fleet.Member, refusals []error) {
-	pctx, cancel := context.WithTimeout(ctx, c.opts.PingTimeout)
-	defer cancel()
-	vis := make([]VersionInfo, len(members))
-	errs := make([]error, len(members))
-	ready := make([]bool, len(members))
-	readyErrs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, wc *workerClient) {
-			defer wg.Done()
-			vis[i], errs[i] = wc.version(pctx)
-			if errs[i] == nil {
-				ready[i], readyErrs[i] = wc.ready(pctx)
-			}
-		}(i, c.client(m))
-	}
-	wg.Wait()
-	// Iterate in membership order so worker indices (and therefore trace
-	// affinity and shard placement) are deterministic.
-	for i, m := range members {
-		switch {
-		case errs[i] != nil:
-			c.opts.Logger.WarnCtx(ctx, "cluster: worker unreachable, excluded",
-				"worker", m.ID, "err", errs[i])
-		case vis[i].TraceFormat != trace.Version:
-			refusals = append(refusals, fmt.Errorf(
-				"worker %s: trace format v%d, coordinator speaks v%d (module %q) — refusing mixed-format worker",
-				m.ID, vis[i].TraceFormat, trace.Version, vis[i].Module))
-		case readyErrs[i] != nil:
-			c.opts.Logger.WarnCtx(ctx, "cluster: worker readiness probe failed, excluded",
-				"worker", m.ID, "err", readyErrs[i])
-		case !ready[i]:
-			c.opts.Logger.WarnCtx(ctx, "cluster: worker draining, excluded",
-				"worker", m.ID)
-		default:
-			healthy = append(healthy, m)
-		}
-	}
-	return healthy, refusals
 }
 
 // Sweep runs the grid: shard, dispatch, retry, hedge, steal, verify,
@@ -306,7 +248,7 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 	}
 
 	metrics := newMetrics()
-	members, merr := c.membership.Members(ctx)
+	members, merr := c.opts.Membership.Members(ctx)
 	if merr != nil {
 		if c.opts.DisableLocalFallback {
 			return nil, fmt.Errorf("%w: membership: %v", ErrNoWorkers, merr)
@@ -315,36 +257,23 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 		return c.localGrid(ctx, &grid, metrics, true, onRow)
 	}
 	if len(members) == 0 {
-		if !c.dynamic {
-			// No workers configured: plain local execution, not a
-			// degradation.
-			return c.localGrid(ctx, &grid, metrics, false, onRow)
-		}
+		// An empty fleet is plain local execution, not a degradation.
 		if c.opts.DisableLocalFallback {
-			return nil, fmt.Errorf("%w: fleet registry reports no live members", ErrNoWorkers)
+			return nil, fmt.Errorf("%w: membership is empty", ErrNoWorkers)
 		}
-		return c.localGrid(ctx, &grid, metrics, true, onRow)
+		return c.localGrid(ctx, &grid, metrics, false, onRow)
 	}
-	healthy, refusals := c.preflight(ctx, members)
-	if len(healthy) == 0 {
-		if len(refusals) > 0 {
-			return nil, errors.Join(refusals...)
-		}
-		if c.opts.DisableLocalFallback {
-			return nil, fmt.Errorf("%w: all %d workers unreachable", ErrNoWorkers, len(members))
-		}
-		return c.localGrid(ctx, &grid, metrics, true, onRow)
-	}
-	if len(refusals) > 0 {
-		// Some workers are usable but others speak a different trace
-		// format: refuse loudly rather than silently shrinking the fleet.
-		return nil, errors.Join(refusals...)
-	}
-	telemetry.SpanFrom(ctx).SetInt("sweep.workers", int64(len(healthy)))
 
-	s := newSched(c, &grid, keys, healthy, metrics, onRow)
-	if err := s.run(ctx); err != nil {
+	s := newSched(ctx, c, &grid, keys, metrics, onRow)
+	admitted, err := s.run(members)
+	if err != nil {
 		return nil, err
+	}
+	if admitted == 0 {
+		if c.opts.DisableLocalFallback {
+			return nil, fmt.Errorf("%w: none of %d workers is reachable and ready", ErrNoWorkers, len(members))
+		}
+		return c.localGrid(ctx, &grid, metrics, true, onRow)
 	}
 	_, msp := telemetry.StartSpan(ctx, "sweep.merge")
 	out, err := s.merge()
@@ -358,8 +287,8 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 	return &Result{Outcomes: out, Metrics: snap}, nil
 }
 
-// localGrid executes the whole grid in-process (no workers configured,
-// or none reachable).
+// localGrid executes the whole grid in-process (an empty fleet, or no
+// member reachable and ready).
 func (c *Coordinator) localGrid(ctx context.Context, grid *Grid, metrics *Metrics, degraded bool, onRow func(int, int, OutcomeRow)) (*Result, error) {
 	if degraded {
 		c.opts.Logger.WarnCtx(ctx, "cluster: no usable workers, running grid locally")
@@ -368,23 +297,36 @@ func (c *Coordinator) localGrid(ctx context.Context, grid *Grid, metrics *Metric
 	defer sp.End()
 	out := make([][]OutcomeRow, len(grid.Traces))
 	for ti, gt := range grid.Traces {
-		compiled, err := jrpm.Compile(gt.Source, grid.Opts)
+		rows, err := sweepLocal(ctx, gt, grid.Configs, grid.Opts, 0)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: local compile %s: %w", gt.Name, err)
+			return nil, err
 		}
-		outs := compiled.SweepTrace(ctx, gt.Data, grid.Configs, grid.Opts, 0)
-		out[ti] = EncodeOutcomes(outs)
+		out[ti] = rows
 		metrics.onLocalShard()
-		if onRow != nil && ctx.Err() == nil {
-			for ci, row := range out[ti] {
+		if onRow != nil {
+			for ci, row := range rows {
 				onRow(ti, ci, row)
 			}
 		}
 	}
-	if err := context.Cause(ctx); err != nil && ctx.Err() != nil {
-		return nil, err
-	}
 	return &Result{Outcomes: out, Degraded: degraded, Metrics: metrics.Snapshot()}, nil
+}
+
+// sweepLocal compiles one recording's program and replays the recording
+// under every config in-process, with at most workers replays at once
+// (<= 0 means GOMAXPROCS). It is all of Local's work and the
+// coordinator's fallback for a grid or a shard no worker can run. A
+// replay cut short by ctx returns ctx's cause instead of partial rows.
+func sweepLocal(ctx context.Context, gt GridTrace, cfgs []hydra.Config, opts jrpm.Options, workers int) ([]OutcomeRow, error) {
+	compiled, err := jrpm.Compile(gt.Source, opts)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: compile %s: %w", gt.Name, err)
+	}
+	rows := EncodeOutcomes(compiled.SweepTrace(ctx, gt.Data, cfgs, opts, workers))
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
+	return rows, nil
 }
 
 // SweepRecording adapts Sweep to the one-recording signature used by the
@@ -412,12 +354,7 @@ type Local struct {
 // SweepRecording compiles the program and replays the recording under
 // every configuration locally.
 func (l Local) SweepRecording(ctx context.Context, name, source string, data []byte, cfgs []hydra.Config, opts jrpm.Options) ([]OutcomeRow, error) {
-	opts = jrpm.Normalize(opts)
-	compiled, err := jrpm.Compile(source, opts)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: compile %s: %w", name, err)
-	}
-	return EncodeOutcomes(compiled.SweepTrace(ctx, data, cfgs, opts, l.Workers)), nil
+	return sweepLocal(ctx, GridTrace{Name: name, Source: source, Data: data}, cfgs, jrpm.Normalize(opts), l.Workers)
 }
 
 // ---------------------------------------------------------------------------
@@ -497,74 +434,72 @@ type sched struct {
 	running       int             // live worker goroutines
 	localInflight int             // asynchronous local-fallback executions
 	refused       map[string]bool // members refused this sweep (format mismatch)
+	placed        bool            // the grid is queued; later admissions join mid-sweep
 	timers        []*time.Timer
 	store         *traceStore
 
 	emitMu sync.Mutex // serializes onRow callbacks
-
-	compileOnce []sync.Once
-	compiled    []*jrpm.Compiled
-	compileErr  []error
 }
 
-func newSched(c *Coordinator, grid *Grid, keys []string, members []fleet.Member, metrics *Metrics, onRow func(int, int, OutcomeRow)) *sched {
+// newSched shards the grid into tasks; run admits the workers and
+// places the tasks on them.
+func newSched(ctx context.Context, c *Coordinator, grid *Grid, keys []string, metrics *Metrics, onRow func(int, int, OutcomeRow)) *sched {
 	s := &sched{
-		c:           c,
-		grid:        grid,
-		keys:        keys,
-		metrics:     metrics,
-		onRow:       onRow,
-		byID:        map[string]int{},
-		flights:     map[*flight]struct{}{},
-		refused:     map[string]bool{},
-		store:       &traceStore{entries: map[string]*storeEntry{}},
-		compileOnce: make([]sync.Once, len(grid.Traces)),
-		compiled:    make([]*jrpm.Compiled, len(grid.Traces)),
-		compileErr:  make([]error, len(grid.Traces)),
+		c:       c,
+		grid:    grid,
+		keys:    keys,
+		metrics: metrics,
+		onRow:   onRow,
+		ctx:     ctx,
+		byID:    map[string]int{},
+		flights: map[*flight]struct{}{},
+		refused: map[string]bool{},
+		store:   &traceStore{entries: map[string]*storeEntry{}},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, m := range members {
-		s.byID[m.ID] = len(s.workers)
-		s.workers = append(s.workers, &schedWorker{id: m.ID, client: c.client(m)})
-	}
 	for _, key := range keys {
 		if s.store.entries[key] == nil {
 			s.store.entries[key] = &storeEntry{holders: map[string]string{}, pending: map[string]bool{}}
 		}
 	}
-
 	size := c.opts.ShardConfigs
-	w := len(s.workers)
 	for ti := range grid.Traces {
 		for lo := 0; lo < len(grid.Configs); lo += size {
 			hi := lo + size
 			if hi > len(grid.Configs) {
 				hi = len(grid.Configs)
 			}
-			t := &task{trace: ti, lo: lo, hi: hi}
-			s.primaries = append(s.primaries, t)
-			// Trace affinity: all of a trace's shards start on one worker,
-			// so each recording ships once; idle workers rebalance by
-			// stealing (and then pull the recording themselves, once).
-			s.enqueueLocked(ti%w, t)
+			s.primaries = append(s.primaries, &task{trace: ti, lo: lo, hi: hi})
 		}
 	}
 	s.remaining = len(s.primaries)
-
-	if w >= 2 && c.opts.Sentinels > 0 {
-		n := c.opts.Sentinels
-		if n > len(s.primaries) {
-			n = len(s.primaries)
-		}
-		for i := 0; i < n; i++ {
-			p := s.primaries[i]
-			sent := &task{trace: p.trace, lo: p.lo, hi: p.hi, sentinelOf: p}
-			p.sentinels = append(p.sentinels, sent)
-			s.enqueueLocked((p.trace+1)%w, sent)
-			s.sentinelsLeft++
-		}
-	}
 	return s
+}
+
+// placeLocked queues every shard on the initially admitted workers.
+// Trace affinity: all of a trace's shards start on one worker, so each
+// recording ships once; idle workers rebalance by stealing (and then
+// pull the recording themselves, once). The leading shards get sentinel
+// copies on a second worker.
+func (s *sched) placeLocked() {
+	s.placed = true
+	w := len(s.workers)
+	for _, t := range s.primaries {
+		s.enqueueLocked(t.trace%w, t)
+	}
+	if w < 2 || s.c.opts.Sentinels <= 0 {
+		return
+	}
+	n := s.c.opts.Sentinels
+	if n > len(s.primaries) {
+		n = len(s.primaries)
+	}
+	for _, p := range s.primaries[:n] {
+		sent := &task{trace: p.trace, lo: p.lo, hi: p.hi, sentinelOf: p}
+		p.sentinels = append(p.sentinels, sent)
+		s.enqueueLocked((p.trace+1)%w, sent)
+		s.sentinelsLeft++
+	}
 }
 
 func (s *sched) enqueueLocked(w int, t *task) {
@@ -694,18 +629,31 @@ func (s *sched) worker(w int) (*schedWorker, *workerClient) {
 	return sw, sw.client
 }
 
-// run executes the scheduler until the grid is merged or failed. The
-// completion signal is the task ledger (remaining + sentinelsLeft), not
-// worker-goroutine exit: with a dynamic fleet, workers come and go
-// while the sweep runs.
-func (s *sched) run(ctx context.Context) error {
+// run admits the initial membership snapshot, places the grid on the
+// admitted workers and schedules until the grid is merged or failed. It
+// returns how many workers the snapshot admitted; with none admitted
+// (and nothing refused) it schedules nothing, and the caller decides
+// the grid's fate. The completion signal is the task ledger (remaining
+// + sentinelsLeft), not worker-goroutine exit: workers are admitted
+// and retired while the sweep runs.
+func (s *sched) run(members []fleet.Member) (int, error) {
+	ctx := s.ctx
+	refusals := s.admit(members)
 	s.mu.Lock()
-	s.ctx = ctx
-	for w := range s.workers {
-		s.spawnLocked(w)
+	admitted := len(s.workers)
+	if len(refusals) > 0 {
+		// A reachable worker speaking another trace format fails the
+		// sweep rather than silently shrinking the fleet.
+		s.err = errors.Join(refusals...)
+	} else if admitted > 0 {
+		s.placeLocked()
 	}
-	nWorkers := len(s.workers)
+	s.cond.Broadcast() // admitted loops wait for work or the verdict
 	s.mu.Unlock()
+	if admitted == 0 {
+		return 0, errors.Join(refusals...)
+	}
+	telemetry.SpanFrom(ctx).SetInt("sweep.workers", int64(admitted))
 
 	stop := make(chan struct{})
 	go func() { // wake sleepers on cancellation
@@ -715,12 +663,10 @@ func (s *sched) run(ctx context.Context) error {
 		case <-stop:
 		}
 	}()
-	if s.c.opts.HedgeAfter > 0 && (s.c.dynamic || nWorkers >= 2) {
+	if s.c.opts.HedgeAfter > 0 {
 		go s.hedgeMonitor(stop)
 	}
-	if s.c.dynamic || s.c.opts.Replicas > 1 {
-		go s.fleetMonitor(stop)
-	}
+	go s.fleetMonitor(stop)
 
 	s.mu.Lock()
 	for !s.terminalLocked() {
@@ -741,13 +687,10 @@ func (s *sched) run(ctx context.Context) error {
 	}
 	err := s.err
 	s.mu.Unlock()
-	if err != nil {
-		return err
+	if err == nil && ctx.Err() != nil {
+		err = context.Cause(ctx)
 	}
-	if ctx.Err() != nil {
-		return context.Cause(ctx)
-	}
-	return nil
+	return admitted, err
 }
 
 // attempt runs one dispatch of t on worker w and routes the outcome
@@ -985,17 +928,9 @@ func (s *sched) hedgeMonitor(stop <-chan struct{}) {
 			if t.done || t.hedged || t.queued > 0 || time.Since(fl.start) < s.c.opts.HedgeAfter {
 				continue
 			}
-			best := -1
-			for i, pw := range s.workers {
-				if i == fl.worker || pw.retired {
-					continue
-				}
-				if best < 0 || len(pw.queue) < len(s.workers[best].queue) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
+			best := s.leastLoadedLocked(fl.worker)
+			if best < 0 || best == fl.worker {
+				continue
 			}
 			t.hedged = true
 			s.enqueueLocked(best, t)
@@ -1014,8 +949,8 @@ func (s *sched) hedgeMonitor(stop <-chan struct{}) {
 // ---------------------------------------------------------------------------
 // Fleet dynamics
 
-// fleetMonitor periodically re-snapshots the membership (dynamic
-// fleets) and reconciles replica placement (Replicas > 1).
+// fleetMonitor periodically re-snapshots the membership and reconciles
+// replica placement (Replicas > 1).
 func (s *sched) fleetMonitor(stop <-chan struct{}) {
 	tick := time.NewTicker(s.c.opts.MembershipInterval)
 	defer tick.Stop()
@@ -1025,9 +960,7 @@ func (s *sched) fleetMonitor(stop <-chan struct{}) {
 			return
 		case <-tick.C:
 		}
-		if s.c.dynamic {
-			s.reconcile()
-		}
+		s.reconcile()
 		if s.c.opts.Replicas > 1 {
 			s.replicateTick()
 		}
@@ -1036,10 +969,11 @@ func (s *sched) fleetMonitor(stop <-chan struct{}) {
 
 // reconcile diffs the current membership snapshot against the
 // scheduler's worker set: departed members are retired (their shards
-// stolen back), new members are preflighted and admitted.
+// stolen back), members not yet admitted — new, or unreachable or
+// draining when last probed — go through admit.
 func (s *sched) reconcile() {
 	mctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
-	members, err := s.c.membership.Members(mctx)
+	members, err := s.c.opts.Membership.Members(mctx)
 	cancel()
 	if err != nil {
 		// A registry blip must not retire live workers; try again next
@@ -1073,9 +1007,7 @@ func (s *sched) reconcile() {
 		joins = append(joins, m)
 	}
 	s.mu.Unlock()
-	for _, m := range joins {
-		s.admit(m)
-	}
+	s.admit(joins)
 }
 
 // retireLocked removes a departed worker from scheduling: its queued
@@ -1116,55 +1048,94 @@ func (s *sched) retireLocked(w *schedWorker) {
 	s.cond.Broadcast()
 }
 
-// admit preflights a joining member and, if healthy, adds it to the
-// worker set (or revives its retired slot) and starts its dispatch
-// loop. The new worker has an empty queue; it picks up work by
-// stealing, retries and hedges.
-func (s *sched) admit(m fleet.Member) {
-	wc := s.c.client(m)
+// admit probes members in parallel — version, then readiness — and
+// admits the ready ones in membership order, so worker indices (and
+// with them trace affinity) are deterministic. Admitting adds the
+// member's slot, or revives its retired one, and starts its dispatch
+// loop; a worker admitted after the grid was placed has an empty queue
+// and picks up work by stealing, retries and hedges. A reachable member
+// speaking another trace format is refused for the rest of the sweep
+// and returned as an error; unreachable and draining members are left
+// out until a later reconcile finds them ready.
+func (s *sched) admit(members []fleet.Member) (refusals []error) {
+	if len(members) == 0 {
+		return nil
+	}
+	type probe struct {
+		wc         *workerClient
+		vi         VersionInfo
+		verr, rerr error
+		ready      bool
+	}
+	probes := make([]probe, len(members))
 	pctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
-	vi, err := wc.version(pctx)
-	var ready bool
-	if err == nil {
-		ready, err = wc.ready(pctx)
+	var wg sync.WaitGroup
+	for i, m := range members {
+		p := &probes[i]
+		p.wc = s.c.client(m)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.vi, p.verr = p.wc.version(pctx)
+			if p.verr == nil {
+				p.ready, p.rerr = p.wc.ready(pctx)
+			}
+		}()
 	}
+	wg.Wait()
 	cancel()
-	if err != nil || !ready {
-		// Not reachable/ready yet; the next reconcile retries.
-		return
-	}
-	if vi.TraceFormat != trace.Version {
-		s.mu.Lock()
-		s.refused[m.ID] = true
-		s.mu.Unlock()
-		s.c.opts.Logger.WarnCtx(s.ctx, "cluster: joining worker refused (trace format mismatch)",
-			"worker", m.ID, "worker_format", vi.TraceFormat, "coordinator_format", trace.Version)
-		return
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.terminalLocked() {
-		return
+	// Exclusions matter at sweep start; afterwards the same member is
+	// re-probed every tick, so they drop to debug.
+	lvl := telemetry.LevelWarn
+	if s.placed {
+		lvl = telemetry.LevelDebug
 	}
-	if idx, ok := s.byID[m.ID]; ok {
+	log := s.c.opts.Logger
+	for i, m := range members {
+		p := probes[i]
+		switch {
+		case p.verr != nil:
+			log.LogCtx(s.ctx, lvl, "cluster: worker unreachable, excluded", "worker", m.ID, "err", p.verr)
+			continue
+		case p.vi.TraceFormat != trace.Version:
+			s.refused[m.ID] = true
+			log.WarnCtx(s.ctx, "cluster: worker refused (trace format mismatch)",
+				"worker", m.ID, "worker_format", p.vi.TraceFormat, "coordinator_format", trace.Version)
+			refusals = append(refusals, fmt.Errorf(
+				"worker %s: trace format v%d, coordinator speaks v%d (module %q) — refusing mixed-format worker",
+				m.ID, p.vi.TraceFormat, trace.Version, p.vi.Module))
+			continue
+		case p.rerr != nil:
+			log.LogCtx(s.ctx, lvl, "cluster: worker readiness probe failed, excluded", "worker", m.ID, "err", p.rerr)
+			continue
+		case !p.ready:
+			log.LogCtx(s.ctx, lvl, "cluster: worker draining, excluded", "worker", m.ID)
+			continue
+		case s.closed || s.terminalLocked():
+			continue
+		}
+		idx, ok := s.byID[m.ID]
+		if !ok {
+			idx = len(s.workers)
+			s.byID[m.ID] = idx
+			s.workers = append(s.workers, &schedWorker{id: m.ID, retired: true})
+		}
 		w := s.workers[idx]
 		if !w.retired {
-			return
+			continue // already admitted: listed twice in the snapshot
 		}
-		w.retired = false
-		w.client = wc
-		w.consecFail = 0
-		w.breakerUntil = time.Time{}
+		w.retired, w.client, w.consecFail, w.breakerUntil = false, p.wc, 0, time.Time{}
 		s.spawnLocked(idx)
-	} else {
-		s.byID[m.ID] = len(s.workers)
-		s.workers = append(s.workers, &schedWorker{id: m.ID, client: wc})
-		s.spawnLocked(len(s.workers) - 1)
+		if s.placed {
+			s.metrics.onMemberJoin()
+			log.InfoCtx(s.ctx, "cluster: worker joined the fleet mid-sweep", "worker", m.ID)
+		}
 	}
-	s.metrics.onMemberJoin()
-	s.c.opts.Logger.InfoCtx(s.ctx, "cluster: worker joined the fleet mid-sweep", "worker", m.ID)
 	s.cond.Broadcast()
+	return refusals
 }
 
 // replicateTick drives replica placement toward Replicas holders per
@@ -1429,22 +1400,7 @@ func (s *sched) localShard(t *task) {
 	sp.SetInt("shard.trace", int64(t.trace))
 	sp.SetInt("shard.lo", int64(t.lo))
 	sp.SetInt("shard.hi", int64(t.hi))
-	ti := t.trace
-	s.compileOnce[ti].Do(func() {
-		s.compiled[ti], s.compileErr[ti] = jrpm.Compile(s.grid.Traces[ti].Source, s.grid.Opts)
-	})
-	var rows []OutcomeRow
-	err := s.compileErr[ti]
-	if err == nil {
-		outs := s.compiled[ti].SweepTrace(ctx, s.grid.Traces[ti].Data, s.grid.Configs[t.lo:t.hi], s.grid.Opts, 0)
-		rows = EncodeOutcomes(outs)
-		for _, o := range outs {
-			if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {
-				err = o.Err
-				break
-			}
-		}
-	}
+	rows, err := sweepLocal(ctx, s.grid.Traces[t.trace], s.grid.Configs[t.lo:t.hi], s.grid.Opts, 0)
 	sp.Fail(err)
 	sp.End()
 	s.mu.Lock()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 )
 
 // failFirst rejects the first n shard requests with a 500, then serves
@@ -44,7 +45,7 @@ func TestClusterBreakerHalfOpenRecovery(t *testing.T) {
 
 	srv, _ := newTestWorker(t, failFirst(2))
 	coord := New(Options{
-		Workers:              []string{srv.URL},
+		Membership:           fleet.Static{srv.URL},
 		ShardConfigs:         2,
 		MaxAttempts:          10,
 		RetryBase:            5 * time.Millisecond,
@@ -120,7 +121,7 @@ func TestClusterHedgeLoserCanceled(t *testing.T) {
 		// Trace affinity puts the single trace's shards on the slow
 		// worker; the fast worker only sees the sentinel until hedging
 		// re-dispatches the stragglers.
-		Workers:          []string{slowSrv.URL, fastSrv.URL},
+		Membership:       fleet.Static{slowSrv.URL, fastSrv.URL},
 		ShardConfigs:     4,
 		HedgeAfter:       30 * time.Millisecond,
 		HedgeInterval:    5 * time.Millisecond,

@@ -244,7 +244,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 				addrs[i], workers[i] = srv.URL, w
 			}
 			coord := New(Options{
-				Workers:            addrs,
+				Membership:         fleet.Static(addrs),
 				Replicas:           replicas,
 				MembershipInterval: 5 * time.Millisecond,
 				ShardConfigs:       4,

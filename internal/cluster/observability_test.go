@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
 )
@@ -67,7 +68,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 	ctx, root := telemetry.StartSpan(ctx, "test.sweep")
 
 	c := New(Options{
-		Workers:      []string{addr1, addr2},
+		Membership:   fleet.Static{addr1, addr2},
 		ShardConfigs: 2,
 		Sentinels:    1,
 	})
@@ -160,7 +161,7 @@ func TestClusterReadyzPreflight(t *testing.T) {
 
 	var buf strings.Builder
 	c := New(Options{
-		Workers:      []string{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
+		Membership:   fleet.Static{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
 		ShardConfigs: 2,
 		Sentinels:    -1,
 		Logger:       telemetry.NewLogger(&buf, telemetry.LevelDebug),

@@ -9,6 +9,7 @@ import (
 
 	"jrpm/internal/cluster"
 	"jrpm/internal/experiments"
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 )
 
@@ -31,7 +32,7 @@ func startWorker(t *testing.T) *httptest.Server {
 func TestAblationsThroughCluster(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	coord := cluster.New(cluster.Options{
-		Workers:      []string{w1.URL, w2.URL},
+		Membership:   fleet.Static{w1.URL, w2.URL},
 		ShardConfigs: 2,
 	})
 	ctx := context.Background()

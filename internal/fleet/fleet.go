@@ -1,5 +1,5 @@
-// Package fleet turns the cluster's static worker list into a living
-// fleet. Three pieces cooperate:
+// Package fleet supplies the worker set the cluster coordinator
+// schedules over. Three pieces cooperate:
 //
 //   - Registry: an HTTP endpoint workers self-register with. Each
 //     registration carries an address plus the worker's module and
@@ -8,8 +8,10 @@
 //   - Agent: the worker-side loop that registers, heartbeats at a
 //     fraction of the TTL, and deregisters gracefully on drain.
 //   - Membership: the read side. The cluster scheduler re-snapshots a
-//     Membership throughout a sweep, so workers joining mid-sweep pick
-//     up shards and a dead worker's shards are stolen back.
+//     Membership throughout a sweep, so workers joining (or becoming
+//     ready) mid-sweep pick up shards and a departed worker's shards are
+//     stolen back. Static is the fixed-list Membership behind
+//     `jrpm sweep -workers`.
 //
 // Placement ranks members for a content-addressed trace key by
 // rendezvous (highest-random-weight) hashing, which keeps replica
@@ -46,10 +48,12 @@ type Membership interface {
 	Members(ctx context.Context) ([]Member, error)
 }
 
-// Static adapts a fixed address list into a Membership. It is the
-// compatibility shim for the pre-fleet -workers flag: the snapshot
-// never changes, so the scheduler behaves exactly as it did with a
-// static list.
+// Static is a fixed address list as a Membership, the worker set of
+// `jrpm sweep -workers`. Its snapshot never changes, so no member is
+// ever retired; a member unreachable or draining when a sweep starts is
+// re-probed on every membership tick and admitted once ready, like a
+// registry member that joins mid-sweep. An empty Static is an empty
+// fleet: the coordinator runs the grid locally.
 type Static []string
 
 // Members returns one member per address, in the configured order, so

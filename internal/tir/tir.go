@@ -302,3 +302,30 @@ func (f *Function) NumInstrs() int {
 	}
 	return n
 }
+
+// ReadCounts returns how many times each register is read anywhere in
+// the function. Conservative by construction: A and B are counted for
+// every opcode whether or not that opcode reads them, so unused
+// zero-valued operand fields only ever overcount. The predecoder and
+// the native tier both use it to decide which register writes they may
+// elide, so overcounting only suppresses an elision, never enables a
+// wrong one.
+func (f *Function) ReadCounts() []int32 {
+	reads := make([]int32, f.NumRegs)
+	count := func(r Reg) {
+		if int(r) >= 0 && int(r) < len(reads) {
+			reads[int(r)]++
+		}
+	}
+	for bi := range f.Blocks {
+		ins := f.Blocks[bi].Instrs
+		for ii := range ins {
+			count(ins[ii].A)
+			count(ins[ii].B)
+			for _, a := range ins[ii].Args {
+				count(a)
+			}
+		}
+	}
+	return reads
+}

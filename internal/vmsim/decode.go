@@ -528,31 +528,6 @@ func fuseKind(b *tir.Block, ii int) dop {
 	return dNop
 }
 
-// readCounts returns how many times each register is read anywhere in
-// the function. Conservative by construction: A and B are counted for
-// every opcode whether or not that opcode reads them, so unused
-// zero-valued operand fields only ever overcount (which suppresses a
-// dead-write elision, never enables a wrong one).
-func readCounts(f *tir.Function) []int32 {
-	reads := make([]int32, f.NumRegs)
-	count := func(r tir.Reg) {
-		if int(r) >= 0 && int(r) < len(reads) {
-			reads[int(r)]++
-		}
-	}
-	for bi := range f.Blocks {
-		ins := f.Blocks[bi].Instrs
-		for ii := range ins {
-			count(ins[ii].A)
-			count(ins[ii].B)
-			for _, a := range ins[ii].Args {
-				count(a)
-			}
-		}
-	}
-	return reads
-}
-
 func decodeFunc(f *tir.Function) dfunc {
 	df := dfunc{
 		name:     f.Name,
@@ -576,7 +551,7 @@ func decodeFunc(f *tir.Function) dfunc {
 		}
 	}
 	df.instrs = make([]dinstr, 0, n)
-	reads := readCounts(f)
+	reads := f.ReadCounts()
 	// live reports whether a chain-internal destination register is read
 	// anywhere beyond its single in-chain consumer and therefore needs
 	// its write materialized.

@@ -349,7 +349,8 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			// always happen right here in the interpreter, on the same
 			// instruction as the other tiers.
 			r := &vm.native.loops[ins.x0]
-			nst := native.State{
+			nst := &vm.nativeState
+			*nst = native.State{
 				Regs: regs, Slots: slots, Mem: mem,
 				Globals: globals, GlobLen: vm.nativeGlobLen, Arrays: vm.arrays,
 				HeapTop: heapTop,
@@ -367,7 +368,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			if sm := vm.sampler; sm != nil {
 				nst.Prof = nativeProf{sm}
 			}
-			ex := r.loop.Run(&nst)
+			ex := r.loop.Run(nst)
 			lst := &vm.nativeStats[ins.x0]
 			if ex.Kind == native.ExitDeoptEntry {
 				// Nothing ran. Undo the prologue and execute the original

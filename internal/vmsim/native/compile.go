@@ -26,7 +26,7 @@ func CompilePlan(prog *tir.Program, loopIDs []int, cfg Config) *Plan {
 		}
 		reads := readsByFunc[info.Func]
 		if reads == nil {
-			reads = readCounts(prog.Funcs[info.Func])
+			reads = prog.Funcs[info.Func].ReadCounts()
 			readsByFunc[info.Func] = reads
 		}
 		l, err := compileLoop(prog, info, cfg, reads)
@@ -60,30 +60,6 @@ func markYields(plan *Plan) {
 			}
 		}
 	}
-}
-
-// readCounts mirrors the predecoder's conservative function-wide register
-// read counts: every A/B/arg slot counts, whether or not the opcode reads
-// it. Overcounting only forces extra materialization, never elision of a
-// live value.
-func readCounts(f *tir.Function) []int32 {
-	reads := make([]int32, f.NumRegs)
-	count := func(r tir.Reg) {
-		if int(r) >= 0 && int(r) < len(reads) {
-			reads[int(r)]++
-		}
-	}
-	for bi := range f.Blocks {
-		ins := f.Blocks[bi].Instrs
-		for ii := range ins {
-			count(ins[ii].A)
-			count(ins[ii].B)
-			for _, a := range ins[ii].Args {
-				count(a)
-			}
-		}
-	}
-	return reads
 }
 
 // annotOnly reports whether a block consists solely of loop/local

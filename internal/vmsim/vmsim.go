@@ -28,6 +28,7 @@ import (
 
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
+	"jrpm/internal/vmsim/native"
 )
 
 // SlotID identifies one named local variable instance: the variable's slot
@@ -113,6 +114,11 @@ type VM struct {
 	native        *nativeBuild
 	nativeGlobLen []int64
 	nativeStats   []NativeLoopStats
+	// nativeState is the one native.State every native entry resets and
+	// runs on. Native code never re-enters exec (calls compile to deopt
+	// stubs), so at most one entry uses it at a time, and keeping it
+	// here saves an allocation per entry.
+	nativeState native.State
 
 	// Native-tier execution counters for reports and /v1/metrics.
 	NNativeEnters int64
